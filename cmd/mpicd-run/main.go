@@ -12,6 +12,7 @@
 //	mpicd-run -n 128 -transport shm -task pingpong
 //	mpicd-run -n 32 -transport tcp -task allreduce
 //	mpicd-run -n 16 -task ringping          # asserts lazy dialing held
+//	mpicd-run -n 2 -task exitsafety         # a sender that exits at once loses nothing
 //
 // The -rpn flag carves the job into synthetic nodes of that many
 // consecutive ranks, which routes small collectives hierarchically and
@@ -56,7 +57,7 @@ func main() {
 
 	n := flag.Int("n", 2, "number of ranks")
 	transport := flag.String("transport", "shm", "shm or tcp")
-	task := flag.String("task", "pingpong", "built-in workload when no program is given: pingpong, allreduce, ringping, elastic, bench")
+	task := flag.String("task", "pingpong", "built-in workload when no program is given: pingpong, allreduce, ringping, elastic, bench, exitsafety")
 	rpn := flag.Int("rpn", 0, "ranks per synthetic node (0: all ranks share one node)")
 	dir := flag.String("dir", "", "SHM session directory (default: fresh temp dir)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "kill the job after this long")

@@ -30,6 +30,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"mpicd/internal/obs"
 )
@@ -651,95 +652,25 @@ func (p *Plan) unpackAtUniform(dst []byte, count int64, off int64, src []byte) {
 }
 
 // packWholeBlocks copies nb whole blocks starting at (elem, bi) into dst
-// and returns the bytes moved plus the advanced cursor. Blocks of 4/8/16
-// bytes (int32/float64/complex128 and friends) move as direct word loads;
-// other 8-byte multiples up to 128 move as unrolled word loops; anything
-// else falls back to copy.
+// and returns the bytes moved plus the advanced cursor.
 func (p *Plan) packWholeBlocks(dst, src []byte, elem, bi, nb int64) (int, int64, int64) {
-	L, stride := p.blockLen, p.stride
-	w := int64(0)
+	L := p.blockLen
 	if p.nblocks == 1 {
 		// One block per element: the whole message is a single arithmetic
 		// sequence at stride extent.
-		so := elem*p.extent + p.base
-		switch {
-		case L == 4:
-			for ; nb > 0; nb-- {
-				*(*[4]byte)(dst[w:]) = *(*[4]byte)(src[so:])
-				w += 4
-				so += p.extent
-			}
-		case L == 8:
-			for ; nb > 0; nb-- {
-				*(*[8]byte)(dst[w:]) = *(*[8]byte)(src[so:])
-				w += 8
-				so += p.extent
-			}
-		case L == 16:
-			for ; nb > 0; nb-- {
-				*(*[16]byte)(dst[w:]) = *(*[16]byte)(src[so:])
-				w += 16
-				so += p.extent
-			}
-		case L%8 == 0 && L <= 128:
-			for ; nb > 0; nb-- {
-				for k := int64(0); k < L; k += 8 {
-					*(*[8]byte)(dst[w+k:]) = *(*[8]byte)(src[so+k:])
-				}
-				w += L
-				so += p.extent
-			}
-		default:
-			for ; nb > 0; nb-- {
-				copy(dst[w:w+L], src[so:so+L])
-				w += L
-				so += p.extent
-			}
-		}
-		return int(w), (so - p.base) / p.extent, 0
+		so := gatherBlocks(dst[:nb*L], src, elem*p.extent+p.base, p.extent, L)
+		return int(nb * L), (so - p.base) / p.extent, 0
 	}
+	w := int64(0)
 	for nb > 0 {
-		so := elem*p.extent + p.base + bi*stride
 		m := p.nblocks - bi
 		if m > nb {
 			m = nb
 		}
+		gatherBlocks(dst[w:w+m*L], src, elem*p.extent+p.base+bi*p.stride, p.stride, L)
+		w += m * L
 		nb -= m
 		bi += m
-		switch {
-		case L == 4:
-			for ; m > 0; m-- {
-				*(*[4]byte)(dst[w:]) = *(*[4]byte)(src[so:])
-				w += 4
-				so += stride
-			}
-		case L == 8:
-			for ; m > 0; m-- {
-				*(*[8]byte)(dst[w:]) = *(*[8]byte)(src[so:])
-				w += 8
-				so += stride
-			}
-		case L == 16:
-			for ; m > 0; m-- {
-				*(*[16]byte)(dst[w:]) = *(*[16]byte)(src[so:])
-				w += 16
-				so += stride
-			}
-		case L%8 == 0 && L <= 128:
-			for ; m > 0; m-- {
-				for k := int64(0); k < L; k += 8 {
-					*(*[8]byte)(dst[w+k:]) = *(*[8]byte)(src[so+k:])
-				}
-				w += L
-				so += stride
-			}
-		default:
-			for ; m > 0; m-- {
-				copy(dst[w:w+L], src[so:so+L])
-				w += L
-				so += stride
-			}
-		}
 		if bi == p.nblocks {
 			bi, elem = 0, elem+1
 		}
@@ -748,93 +679,95 @@ func (p *Plan) packWholeBlocks(dst, src []byte, elem, bi, nb int64) (int, int64,
 }
 
 func (p *Plan) unpackWholeBlocks(dst, src []byte, elem, bi, nb int64) (int, int64, int64) {
-	L, stride := p.blockLen, p.stride
-	r := int64(0)
+	L := p.blockLen
 	if p.nblocks == 1 {
-		do := elem*p.extent + p.base
-		switch {
-		case L == 4:
-			for ; nb > 0; nb-- {
-				*(*[4]byte)(dst[do:]) = *(*[4]byte)(src[r:])
-				r += 4
-				do += p.extent
-			}
-		case L == 8:
-			for ; nb > 0; nb-- {
-				*(*[8]byte)(dst[do:]) = *(*[8]byte)(src[r:])
-				r += 8
-				do += p.extent
-			}
-		case L == 16:
-			for ; nb > 0; nb-- {
-				*(*[16]byte)(dst[do:]) = *(*[16]byte)(src[r:])
-				r += 16
-				do += p.extent
-			}
-		case L%8 == 0 && L <= 128:
-			for ; nb > 0; nb-- {
-				for k := int64(0); k < L; k += 8 {
-					*(*[8]byte)(dst[do+k:]) = *(*[8]byte)(src[r+k:])
-				}
-				r += L
-				do += p.extent
-			}
-		default:
-			for ; nb > 0; nb-- {
-				copy(dst[do:do+L], src[r:r+L])
-				r += L
-				do += p.extent
-			}
-		}
-		return int(r), (do - p.base) / p.extent, 0
+		do := scatterBlocks(dst, src[:nb*L], elem*p.extent+p.base, p.extent, L)
+		return int(nb * L), (do - p.base) / p.extent, 0
 	}
+	r := int64(0)
 	for nb > 0 {
-		do := elem*p.extent + p.base + bi*stride
 		m := p.nblocks - bi
 		if m > nb {
 			m = nb
 		}
+		scatterBlocks(dst, src[r:r+m*L], elem*p.extent+p.base+bi*p.stride, p.stride, L)
+		r += m * L
 		nb -= m
 		bi += m
-		switch {
-		case L == 4:
-			for ; m > 0; m-- {
-				*(*[4]byte)(dst[do:]) = *(*[4]byte)(src[r:])
-				r += 4
-				do += stride
-			}
-		case L == 8:
-			for ; m > 0; m-- {
-				*(*[8]byte)(dst[do:]) = *(*[8]byte)(src[r:])
-				r += 8
-				do += stride
-			}
-		case L == 16:
-			for ; m > 0; m-- {
-				*(*[16]byte)(dst[do:]) = *(*[16]byte)(src[r:])
-				r += 16
-				do += stride
-			}
-		case L%8 == 0 && L <= 128:
-			for ; m > 0; m-- {
-				for k := int64(0); k < L; k += 8 {
-					*(*[8]byte)(dst[do+k:]) = *(*[8]byte)(src[r+k:])
-				}
-				r += L
-				do += stride
-			}
-		default:
-			for ; m > 0; m-- {
-				copy(dst[do:do+L], src[r:r+L])
-				r += L
-				do += stride
-			}
-		}
 		if bi == p.nblocks {
 			bi, elem = 0, elem+1
 		}
 	}
 	return int(r), elem, bi
+}
+
+// gatherBlocks fills dst with len(dst)/L blocks of L bytes read from src,
+// the first at offset so and each next one step bytes further, and returns
+// the source offset after the last block. Blocks of 4/8/16 bytes
+// (int32/float64/complex128 and friends) move as direct word loads;
+// other 8-byte multiples up to 128 move as word loops; anything else
+// falls back to copy.
+func gatherBlocks(dst, src []byte, so, step, L int64) int64 {
+	m := int64(len(dst)) / L
+	w := int64(0)
+	switch {
+	case L == 4:
+		move4(dst, src, 0, 4, so, step, m)
+	case L == 8:
+		move8(dst, src, 0, 8, so, step, m)
+	case L == 16:
+		move16(dst, src, 0, 16, so, step, m)
+	case L%8 == 0 && L <= 128:
+		for i := m; i > 0; i-- {
+			for k := int64(0); k < L; k += 8 {
+				*(*[8]byte)(dst[w+k:]) = *(*[8]byte)(src[so+k:])
+			}
+			w += L
+			so += step
+		}
+		return so
+	default:
+		for i := m; i > 0; i-- {
+			copy(dst[w:w+L], src[so:so+L])
+			w += L
+			so += step
+		}
+		return so
+	}
+	return so + m*step
+}
+
+// scatterBlocks is the inverse of gatherBlocks: it writes len(src)/L
+// blocks of L bytes into dst, the first at offset do and each next one
+// step bytes further, and returns the offset after the last block.
+func scatterBlocks(dst, src []byte, do, step, L int64) int64 {
+	m := int64(len(src)) / L
+	r := int64(0)
+	switch {
+	case L == 4:
+		move4(dst, src, do, step, 0, 4, m)
+	case L == 8:
+		move8(dst, src, do, step, 0, 8, m)
+	case L == 16:
+		move16(dst, src, do, step, 0, 16, m)
+	case L%8 == 0 && L <= 128:
+		for i := m; i > 0; i-- {
+			for k := int64(0); k < L; k += 8 {
+				*(*[8]byte)(dst[do+k:]) = *(*[8]byte)(src[r+k:])
+			}
+			r += L
+			do += step
+		}
+		return do
+	default:
+		for i := m; i > 0; i-- {
+			copy(dst[do:do+L], src[r:r+L])
+			r += L
+			do += step
+		}
+		return do
+	}
+	return do + m*step
 }
 
 // packAtRuns is the PlanRunList kernel: a partial leading element walks
@@ -910,37 +843,19 @@ func (p *Plan) packRunsWhole(dst, src []byte, elem, n int64) int {
 				L := m.len
 				switch m.cls {
 				case clsMove16:
-					for e := int64(0); e < nt; e++ {
-						*(*[16]byte)(dst[do:]) = *(*[16]byte)(src[so:])
-						so += ext
-						do += sz
-					}
+					move16(dst, src, do, sz, so, ext, nt)
 				case clsMove8:
-					for e := int64(0); e < nt; e++ {
-						*(*[8]byte)(dst[do:]) = *(*[8]byte)(src[so:])
-						so += ext
-						do += sz
-					}
+					move8(dst, src, do, sz, so, ext, nt)
 				case clsMove4:
-					for e := int64(0); e < nt; e++ {
-						*(*[4]byte)(dst[do:]) = *(*[4]byte)(src[so:])
-						so += ext
-						do += sz
-					}
+					move4(dst, src, do, sz, so, ext, nt)
 				case clsDual8:
-					for e := int64(0); e < nt; e++ {
-						*(*[8]byte)(dst[do:]) = *(*[8]byte)(src[so:])
-						*(*[8]byte)(dst[do+L-8:]) = *(*[8]byte)(src[so+L-8:])
-						so += ext
-						do += sz
-					}
+					// The two halves overlap on bytes both copy from the
+					// same source, so they may run as separate passes.
+					move8(dst, src, do, sz, so, ext, nt)
+					move8(dst, src, do+L-8, sz, so+L-8, ext, nt)
 				case clsDual4:
-					for e := int64(0); e < nt; e++ {
-						*(*[4]byte)(dst[do:]) = *(*[4]byte)(src[so:])
-						*(*[4]byte)(dst[do+L-4:]) = *(*[4]byte)(src[so+L-4:])
-						so += ext
-						do += sz
-					}
+					move4(dst, src, do, sz, so, ext, nt)
+					move4(dst, src, do+L-4, sz, so+L-4, ext, nt)
 				case clsTiny:
 					for e := int64(0); e < nt; e++ {
 						for k := int64(0); k < L; k++ {
@@ -1129,4 +1044,51 @@ func (p *Plan) AppendRegions(dst [][]byte, buf []byte, count int64) ([][]byte, e
 		dst = append(dst, buf[prevS:prevE])
 	}
 	return dst, nil
+}
+
+// move16 copies n 16-byte words, the i-th from src[so+i*sstep] to
+// dst[do+i*dstep]. Both sequences are arithmetic, so checking the first
+// and last word against the slice lengths bounds every word in between
+// and the loop runs without per-word bounds checks. move8 and move4 are
+// the same for 8- and 4-byte words.
+func move16(dst, src []byte, do, dstep, so, sstep, n int64) {
+	if n <= 0 {
+		return
+	}
+	_, _ = (*[16]byte)(dst[do:]), (*[16]byte)(dst[do+(n-1)*dstep:])
+	_, _ = (*[16]byte)(src[so:]), (*[16]byte)(src[so+(n-1)*sstep:])
+	d, s := unsafe.Pointer(unsafe.SliceData(dst)), unsafe.Pointer(unsafe.SliceData(src))
+	for ; n > 0; n-- {
+		*(*[16]byte)(unsafe.Add(d, do)) = *(*[16]byte)(unsafe.Add(s, so))
+		do += dstep
+		so += sstep
+	}
+}
+
+func move8(dst, src []byte, do, dstep, so, sstep, n int64) {
+	if n <= 0 {
+		return
+	}
+	_, _ = (*[8]byte)(dst[do:]), (*[8]byte)(dst[do+(n-1)*dstep:])
+	_, _ = (*[8]byte)(src[so:]), (*[8]byte)(src[so+(n-1)*sstep:])
+	d, s := unsafe.Pointer(unsafe.SliceData(dst)), unsafe.Pointer(unsafe.SliceData(src))
+	for ; n > 0; n-- {
+		*(*[8]byte)(unsafe.Add(d, do)) = *(*[8]byte)(unsafe.Add(s, so))
+		do += dstep
+		so += sstep
+	}
+}
+
+func move4(dst, src []byte, do, dstep, so, sstep, n int64) {
+	if n <= 0 {
+		return
+	}
+	_, _ = (*[4]byte)(dst[do:]), (*[4]byte)(dst[do+(n-1)*dstep:])
+	_, _ = (*[4]byte)(src[so:]), (*[4]byte)(src[so+(n-1)*sstep:])
+	d, s := unsafe.Pointer(unsafe.SliceData(dst)), unsafe.Pointer(unsafe.SliceData(src))
+	for ; n > 0; n-- {
+		*(*[4]byte)(unsafe.Add(d, do)) = *(*[4]byte)(unsafe.Add(s, so))
+		do += dstep
+		so += sstep
+	}
 }

@@ -48,6 +48,13 @@ const (
 	// KindHeartbeatPong answers a ping, echoing the probe timestamp in
 	// Aux0 so the prober can measure round-trip time.
 	KindHeartbeatPong Kind = 0xF1
+	// KindPeerGone is never sent on the wire: a cross-process provider
+	// delivers it from Recv, with From set to a peer whose process is
+	// demonstrably gone (a refused redial after an established
+	// connection, or a restarted incarnation). It is ordered after every
+	// packet the peer wrote before it died, so a layer that turns it into
+	// a death verdict has already seen the peer's last messages.
+	KindPeerGone Kind = 0xF2
 )
 
 // Flags carried in a packet header.

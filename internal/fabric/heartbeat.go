@@ -145,23 +145,16 @@ func (d *Detector) OnDead(fn func(rank int)) { d.onDead = fn }
 
 // Start launches the prober goroutine. Idempotent. If the inner NIC
 // reports link-level peer-death evidence (byte-stream providers in
-// launched worlds), it is wired into the state machine here — after
-// OnDead is set, so a hard verdict arriving immediately still reaches
-// the callback: a broken established link raises suspicion, a refused
-// redial to a previously-connected peer declares death outright. This is
-// what keeps cross-process detection from waiting out the full silence
-// thresholds (or a sender's whole retransmit budget) when the peer's
-// process is demonstrably gone.
+// launched worlds), it is wired into the state machine here: a broken
+// established link raises suspicion, and a peer whose process is
+// demonstrably gone is declared dead outright when its KindPeerGone
+// packet reaches Recv — after its last messages. This is what keeps
+// cross-process detection from waiting out the full silence thresholds
+// when the peer's process is gone.
 func (d *Detector) Start() {
 	d.startOnce.Do(func() {
 		if h, ok := d.inner.(interface{ SetPeerDownHook(func(int, bool)) }); ok {
-			h.SetPeerDownHook(func(rank int, hard bool) {
-				if hard {
-					d.DeclareDead(rank)
-				} else {
-					d.Suspect(rank)
-				}
-			})
+			h.SetPeerDownHook(func(rank int, _ bool) { d.Suspect(rank) })
 		}
 		d.wg.Add(1)
 		go d.probeLoop()
@@ -365,14 +358,18 @@ func (d *Detector) SendFrom(to int, hdr Header, src Source, off, n int64) (int64
 	return d.inner.SendFrom(to, hdr, src, off, n)
 }
 
-// Recv implements NIC: heartbeat packets are consumed here (never
-// surfaced to the transport) and every inbound packet refreshes its
-// sender's last-seen stamp.
+// Recv implements NIC: heartbeat packets and death verdicts are consumed
+// here (never surfaced to the transport) and every other inbound packet
+// refreshes its sender's last-seen stamp.
 func (d *Detector) Recv() (*Packet, bool) {
 	for {
 		pkt, ok := d.inner.Recv()
 		if !ok {
 			return nil, false
+		}
+		if pkt.Hdr.Kind == KindPeerGone {
+			d.DeclareDead(pkt.From)
+			continue
 		}
 		d.observe(pkt.From, d.coarse.Load())
 		switch pkt.Hdr.Kind {

@@ -130,7 +130,7 @@ type SHM struct {
 // blocked mid-dial cannot stall the handshake.
 type shmOut struct {
 	mu    sync.Mutex
-	gen   int64       // handshake generation; ring acks must echo it
+	gen   int64 // handshake generation; ring acks must echo it
 	ring  *Ring
 	mem   []byte
 	ackd  atomic.Bool // kindRingAck received
@@ -146,6 +146,9 @@ type shmIn struct {
 	ring    *Ring
 	mem     []byte
 	pending atomic.Bool
+	// mu admits one consumer at a time: the poller, or the death-time
+	// drain that runs before the peer's death verdict (drainPeer).
+	mu sync.Mutex
 }
 
 // shmWin is one side of a shared pull window: two halves, alternated by
@@ -215,6 +218,10 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 	// window serves bail instead of spinning on a dead consumer), then
 	// forward to whatever hook the layer above installs.
 	st.SetPeerDownHook(s.linkEvent)
+	// A peer's exit counts as death only after its rings are drained:
+	// with unacked sends, the records it committed before exiting are
+	// completed messages.
+	st.onGone = s.drainPeer
 	// Re-key shared-memory establishment to the socket generation: when
 	// the control conn to a peer breaks (a respawned rank's revival on
 	// either side closes and re-dials it), the pair's rings and pull
@@ -257,7 +264,7 @@ func mapProbe() error {
 // hook (the liveness detector).
 func (s *SHM) linkEvent(peer int, hard bool) {
 	if hard {
-		s.DeclareRankDown(peer)
+		s.stall(peer)
 	}
 	s.userMu.Lock()
 	fn := s.userDown
@@ -271,11 +278,17 @@ func (s *SHM) linkEvent(peer int, hard bool) {
 // transport layer's failure verdict, which may arrive from pure silence
 // before the socket plane sees anything): the pair's shared-memory
 // channels stall out with ErrLinkDown instead of waiting on a consumer
-// that will never drain.
+// that will never drain, and the socket plane fails sends fast.
 func (s *SHM) DeclareRankDown(peer int) {
 	if peer < 0 || peer >= len(s.downFlags) {
 		return
 	}
+	s.stall(peer)
+	s.stream.DeclareRankDown(peer)
+}
+
+// stall makes ring producers and window serves toward peer bail out.
+func (s *SHM) stall(peer int) {
 	s.downFlags[peer].Store(true)
 	s.outMu.Lock()
 	o := s.outs[peer]
@@ -370,8 +383,9 @@ func (s *SHM) ReviveRank(peer int) {
 //
 // Inbound rings are left alone: the producer side observes the same
 // socket break, resets here too, and its fresh kindRingOpen replaces
-// them (acceptRing retires duplicates). Frames stranded in torn-down
-// rings are recovered by the reliable protocol's retransmission.
+// them (acceptRing retires duplicates). Frames stranded in a torn-down
+// outbound ring were bound for an incarnation that is gone; acked worlds
+// retransmit them to its replacement.
 func (s *SHM) connDropped(peer int) {
 	if peer < 0 || peer >= s.size || peer == s.rank {
 		return
@@ -870,39 +884,11 @@ func (s *SHM) pollLoop() {
 		s.inMu.Unlock()
 		moved := 0
 		for _, in := range ins {
-			if in.pending.Load() {
-				continue
+			n, ok := s.drainRing(in, 64)
+			if !ok {
+				return
 			}
-			for budget := 0; budget < 64; budget++ {
-				rec, ok := in.ring.Next()
-				if !ok {
-					break
-				}
-				if len(rec) < headerWireSize {
-					in.ring.Advance() // torn record: cannot happen via this provider; drop
-					continue
-				}
-				hdr := decodeHeader(rec)
-				var payload []byte
-				var pbuf *[]byte
-				if plen := len(rec) - headerWireSize; plen > 0 {
-					pbuf = s.pool.get(plen)
-					payload = (*pbuf)[:plen]
-					copy(payload, rec[headerWireSize:])
-				}
-				in.ring.Advance()
-				putback := func() {
-					if pbuf != nil {
-						s.pool.put(pbuf)
-					}
-				}
-				pkt := &Packet{From: in.peer, Hdr: hdr, Payload: payload, release: putback}
-				if !s.deliver(pkt) {
-					putback()
-					return
-				}
-				moved++
-			}
+			moved += n
 		}
 		if moved > 0 {
 			idle = 0
@@ -921,6 +907,66 @@ func (s *SHM) pollLoop() {
 			// With a hundred-plus ranks per core, sub-millisecond polling
 			// from every process starves the ranks doing real work.
 			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// drainRing moves up to budget records (all of them when budget <= 0)
+// from an active inbound ring into the inbox. ok is false when the
+// provider shut down mid-delivery.
+func (s *SHM) drainRing(in *shmIn, budget int) (moved int, ok bool) {
+	if in.pending.Load() {
+		return 0, true
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for budget <= 0 || moved < budget {
+		rec, ok := in.ring.Next()
+		if !ok {
+			break
+		}
+		if len(rec) < headerWireSize {
+			in.ring.Advance() // torn record: cannot happen via this provider; drop
+			continue
+		}
+		hdr := decodeHeader(rec)
+		var payload []byte
+		var pbuf *[]byte
+		if plen := len(rec) - headerWireSize; plen > 0 {
+			pbuf = s.pool.get(plen)
+			payload = (*pbuf)[:plen]
+			copy(payload, rec[headerWireSize:])
+		}
+		in.ring.Advance()
+		putback := func() {
+			if pbuf != nil {
+				s.pool.put(pbuf)
+			}
+		}
+		pkt := &Packet{From: in.peer, Hdr: hdr, Payload: payload, release: putback}
+		if !s.deliver(pkt) {
+			putback()
+			return moved, false
+		}
+		moved++
+	}
+	return moved, true
+}
+
+// drainPeer is the stream core's onGone hook: before peer's death
+// verdict is delivered, every record it committed to its rings toward
+// this rank reaches the inbox. The socket plane has already delivered
+// the peer's last frames, including any switch marker that activated a
+// ring.
+func (s *SHM) drainPeer(peer int) {
+	s.inMu.Lock()
+	ins := append([]*shmIn(nil), s.ins...)
+	s.inMu.Unlock()
+	for _, in := range ins {
+		if in.peer == peer {
+			if _, ok := s.drainRing(in, 0); !ok {
+				return
+			}
 		}
 	}
 }

@@ -74,6 +74,11 @@ type stream struct {
 	// returning true claims the request (the SHM provider serves
 	// window-flagged pulls through shared memory instead of the socket).
 	onGetReq func(conn *streamConn, hdr Header) bool
+	// onGone, when non-nil, runs before the in-band death verdict for a
+	// peer is delivered (see reportGone). The SHM provider drains the
+	// peer's eager rings into the inbox here, so the verdict lands after
+	// everything the peer wrote before it exited. Set before join.
+	onGone func(peer int)
 	// onConnDrop, when non-nil, is told every time a connection to a peer
 	// broke (read failure, write failure, or teardown of a replaced
 	// socket). The SHM provider keys its per-pair shared-memory
@@ -91,9 +96,10 @@ type stream struct {
 	hookMu   sync.Mutex
 	peerDown func(peer int, hard bool)
 
-	// connsMu guards conns, addrs, dialing and everConn: accept-side
-	// installs, dial-side installs, lazy establishment and disconnect
-	// teardown all mutate connection state from different goroutines.
+	// connsMu guards conns, addrs, dialing, everConn, down, gone and
+	// reading: accept-side installs, dial-side installs, lazy
+	// establishment and disconnect teardown all mutate connection state
+	// from different goroutines.
 	connsMu  sync.RWMutex
 	conns    []*streamConn
 	addrs    []string // peer addresses; nil until Join
@@ -106,10 +112,16 @@ type stream struct {
 	// first-contact wait that no death verdict can interrupt.
 	// ReviveRank clears the mark.
 	down []bool
-	// draining holds write-dropped connections whose read side is still
-	// delivering kernel-buffered frames; Close closes them so a blocked
-	// read unsticks at shutdown.
-	draining map[*streamConn]struct{}
+	// gone marks ranks whose in-band death verdict (KindPeerGone) is in
+	// flight or delivered, so repeated evidence reports one death.
+	// ReviveRank clears it.
+	gone []bool
+	// reading holds every connection whose read loop is still running —
+	// including write-dropped ones still delivering kernel-buffered
+	// frames. loops counts those read loops plus in-flight death reports;
+	// Close waits on it before closing sockets and returning.
+	reading map[*streamConn]struct{}
+	loops   sync.WaitGroup
 
 	// epochMu guards peerEpochs: the highest incarnation number each
 	// rank has announced in a connection handshake. A newly announced
@@ -179,8 +191,9 @@ func newStream(network string, rank, size int, bind string, cfg Config) (*stream
 		dialing:    make(map[int]bool),
 		everConn:   make([]bool, size),
 		down:       make([]bool, size),
+		gone:       make([]bool, size),
 		peerEpochs: make([]uint32, size),
-		draining:   make(map[*streamConn]struct{}),
+		reading:    make(map[*streamConn]struct{}),
 		inbox:      make(chan *Packet, cfg.InboxDepth),
 		done:       make(chan struct{}),
 		regs:       make(map[uint64]Source),
@@ -278,7 +291,10 @@ func (s *stream) missingPeers() []int {
 // connected to before is refused outright (connect-refused / vanished
 // unix socket: the peer's listener lives exactly as long as its process,
 // so refusal after a successful connection means the process is gone).
-// Callbacks run on transport goroutines and must not block.
+// Hard evidence is also reported in band, as a KindPeerGone packet from
+// Recv ordered after the peer's last frames (see reportGone); death
+// verdicts belong there, the hook's hard flag serves provider-internal
+// stalls. Callbacks run on transport goroutines and must not block.
 func (s *stream) SetPeerDownHook(fn func(peer int, hard bool)) {
 	s.hookMu.Lock()
 	s.peerDown = fn
@@ -298,6 +314,62 @@ func (s *stream) notifyPeerDown(peer int, hard bool) {
 	if fn != nil {
 		fn(peer, hard)
 	}
+	if hard {
+		s.reportGone(peer)
+	}
+}
+
+// reportGone delivers the in-band death verdict for peer (a KindPeerGone
+// packet) once everything the peer wrote has reached the inbox: every
+// read loop on one of the peer's retired connections has hit EOF, and
+// the provider's onGone hook has drained any other channel. Only then may
+// the layer above fail the peer's operations — a verdict that overtook
+// the peer's last frames would fail receives those frames satisfy, and
+// would cut its multi-fragment messages short. Without acks a sender's
+// completed send is only as safe as this ordering. One report per death;
+// a revival in the meantime cancels it.
+func (s *stream) reportGone(peer int) {
+	s.connsMu.Lock()
+	select {
+	case <-s.done:
+		s.connsMu.Unlock()
+		return
+	default:
+	}
+	if s.gone[peer] {
+		s.connsMu.Unlock()
+		return
+	}
+	s.gone[peer] = true
+	s.loops.Add(1)
+	s.connsMu.Unlock()
+	go func() {
+		defer s.loops.Done()
+		deadline := time.Now().Add(s.cfg.DialTimeout)
+		for {
+			s.connsMu.RLock()
+			current, busy := s.gone[peer], false
+			for c := range s.reading {
+				busy = busy || (c.peer == peer && c != s.conns[peer])
+			}
+			s.connsMu.RUnlock()
+			if !current {
+				return
+			}
+			if !busy || time.Now().After(deadline) {
+				break
+			}
+			select {
+			case <-s.done:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+		if s.onGone != nil {
+			s.onGone(peer)
+		}
+		s.deliver(&Packet{From: peer, Hdr: Header{Kind: KindPeerGone}})
+	}()
 }
 
 // isConnRefused reports whether a dial error means "nobody is listening":
@@ -360,6 +432,7 @@ func (s *stream) ReviveRank(peer int) {
 	s.conns[peer] = nil
 	s.everConn[peer] = false
 	s.down[peer] = false
+	s.gone[peer] = false
 	s.connsMu.Unlock()
 	if old != nil {
 		old.c.Close()
@@ -432,7 +505,9 @@ func (s *stream) handleHello(c net.Conn) {
 	_ = c.SetDeadline(time.Time{})
 	conn := s.installConnLocked(peer, c)
 	s.connsMu.Unlock()
-	go s.readLoop(conn)
+	if conn != nil {
+		go s.readLoop(conn)
+	}
 }
 
 // dialPeer connects to a peer, retrying with backoff until
@@ -502,6 +577,9 @@ func (s *stream) dialPeer(peer int) error {
 				s.connsMu.Lock()
 				conn := s.installConnLocked(peer, c)
 				s.connsMu.Unlock()
+				if conn == nil {
+					return ErrClosed
+				}
 				go s.readLoop(conn)
 				connTrace(s.rank, peer, cevDialOK, 0)
 				return nil
@@ -610,9 +688,18 @@ func (s *stream) awaitConn(peer int, deadline time.Time) bool {
 
 // installConnLocked publishes a connection for peer (replacing any broken
 // predecessor). Caller holds connsMu and starts the read loop after
-// releasing it.
+// releasing it. After Close it closes c and returns nil: Close has
+// already snapshotted the connections it shuts down.
 func (s *stream) installConnLocked(peer int, c net.Conn) *streamConn {
+	select {
+	case <-s.done:
+		c.Close()
+		return nil
+	default:
+	}
 	conn := &streamConn{peer: peer, c: c}
+	s.reading[conn] = struct{}{}
+	s.loops.Add(1)
 	old := s.conns[peer]
 	s.conns[peer] = conn
 	s.everConn[peer] = true
@@ -635,12 +722,10 @@ func (s *stream) installConnLocked(peer int, c net.Conn) *streamConn {
 // is known dead, and the kernel may still hold inbound frames the peer
 // flushed before its end went away. Stream sockets deliver buffered
 // data up to EOF — unless the reader closes first, which discards it.
-// Those last frames matter: a peer that exits right after upgrading a
-// pair to the shared-memory ring announces the switch on the socket,
-// and eating that announcement leaves this side blind to a ring that
-// holds the peer's final acks. The read loop keeps draining and closes
-// the socket itself when it hits EOF (its own dropConn lands in the
-// stale branch below).
+// Those last frames matter: they are the peer's final messages, or the
+// announcement that it switched the pair to a shared-memory ring that
+// holds them. The read loop keeps draining and closes the socket itself
+// when it hits EOF (its own dropConn lands in the stale branch below).
 func (s *stream) dropConn(conn *streamConn, site int64) {
 	select {
 	case <-s.done:
@@ -656,11 +741,7 @@ func (s *stream) dropConn(conn *streamConn, site int64) {
 		// the provider above must re-key its establishment either way.
 		s.connsMu.Unlock()
 		connTrace(s.rank, conn.peer, cevDropStale, site)
-		if site == dropSiteWrite {
-			s.connsMu.Lock()
-			s.draining[conn] = struct{}{}
-			s.connsMu.Unlock()
-		} else {
+		if site != dropSiteWrite {
 			conn.c.Close()
 		}
 		s.notifyConnDrop(conn.peer)
@@ -672,9 +753,6 @@ func (s *stream) dropConn(conn *streamConn, site int64) {
 	redial := s.rank > conn.peer && !s.dialing[conn.peer]
 	if redial {
 		s.dialing[conn.peer] = true
-	}
-	if site == dropSiteWrite {
-		s.draining[conn] = struct{}{}
 	}
 	s.connsMu.Unlock()
 	if site != dropSiteWrite {
@@ -946,9 +1024,15 @@ func (s *stream) conn(to int) (*streamConn, error) {
 		s.connsMu.RLock()
 		c = s.conns[to]
 		campaignDone := !s.dialing[to]
+		dead := s.down[to]
 		s.connsMu.RUnlock()
 		if c != nil {
 			return c, nil
+		}
+		if dead {
+			// Declared dead while this send waited on first contact: the
+			// verdict, not the dial window, decides the send's fate.
+			return nil, fmt.Errorf("%w: rank %d declared down", ErrLinkDown, to)
 		}
 		if campaignDone || time.Now().After(deadline) {
 			return nil, fmt.Errorf("%w: rank %d: peer rank %d unreachable at %q (dial timeout %v)",
@@ -1096,8 +1180,9 @@ func (s *stream) serveGet(conn *streamConn, hdr Header) {
 	}
 }
 
-// failGet delivers a Get failure to its waiting initiator (shared by the
-// read loop and provider extensions).
+// fail delivers a Get's outcome (nil for success) to its waiting
+// initiator without blocking: the first outcome wins (shared by the read
+// loop and provider extensions).
 func (g *streamGet) fail(err error) {
 	select {
 	case g.done <- err:
@@ -1105,15 +1190,19 @@ func (g *streamGet) fail(err error) {
 	}
 }
 
+// readLoop delivers a connection's frames until EOF. After Close it keeps
+// reading and discards what it reads: the socket must reach EOF with
+// nothing unread, or closing it would reset the connection (see Close).
 func (s *stream) readLoop(conn *streamConn) {
-	// The read loop is the last user of a write-dropped ("draining")
-	// connection's socket; close it on the way out no matter which path
-	// dropped it (net.Conn.Close is idempotent).
+	// The read loop is the last user of a write-dropped connection's
+	// socket; close it on the way out no matter which path dropped it
+	// (net.Conn.Close is idempotent).
 	defer func() {
 		s.connsMu.Lock()
-		delete(s.draining, conn)
+		delete(s.reading, conn)
 		s.connsMu.Unlock()
 		conn.c.Close()
+		s.loops.Done()
 	}()
 	br := conn.c
 	var pre [4 + headerWireSize]byte
@@ -1142,6 +1231,12 @@ func (s *stream) readLoop(conn *streamConn) {
 				s.pool.put(pbuf)
 			}
 		}
+		select {
+		case <-s.done:
+			putback()
+			continue
+		default:
+		}
 		if hdr.Kind >= kindProviderCtrlMin && s.ctrl != nil {
 			s.ctrl(conn, hdr, payload, putback)
 			continue
@@ -1168,28 +1263,39 @@ func (s *stream) readLoop(conn *streamConn) {
 			_, err := g.sink.WriteAt(payload, g.sinkOff+hdr.Offset)
 			putback()
 			if err != nil {
-				g.done <- err
+				g.fail(err)
 				continue
 			}
 			if atomic.AddInt64(&g.left, -int64(plen)) <= 0 {
-				g.done <- nil
+				g.fail(nil)
 			}
 		case kindGetErr:
 			if g := s.lookupGet(hdr.MsgID); g != nil {
-				g.done <- errors.New("fabric: remote get: " + string(payload))
+				g.fail(errors.New("fabric: remote get: " + string(payload)))
 			}
 			putback()
 		default:
 			pkt := &Packet{From: conn.peer, Hdr: hdr, Payload: payload, release: putback}
 			if !s.deliver(pkt) {
-				putback()
-				return
+				putback() // closed meanwhile: keep draining
 			}
 		}
 	}
 }
 
-// Close shuts the provider down and closes all sockets.
+// closeDrainTimeout bounds how long Close waits for peers to answer its
+// half-close with their own EOF.
+const closeDrainTimeout = 3 * time.Second
+
+// Close shuts the provider down in order. Closing a socket that still
+// holds unread inbound bytes turns the close into a reset, and a reset
+// discards whatever this side wrote that the peer has not read yet — a
+// completed send could vanish with its sender's exit. So Close
+// half-closes every connection (the peer reads all this side wrote, then
+// EOF), keeps the read loops draining and discarding until each peer's
+// own EOF, and only then — or after closeDrainTimeout — closes the
+// sockets. A live peer answers promptly: its read loop closes the socket
+// when it reaches EOF.
 func (s *stream) Close() error {
 	s.once.Do(func() {
 		close(s.done)
@@ -1197,16 +1303,31 @@ func (s *stream) Close() error {
 			s.ln.Close()
 		}
 		s.connsMu.Lock()
-		conns := append([]*streamConn(nil), s.conns...)
-		for c := range s.draining {
+		conns := make([]*streamConn, 0, len(s.reading))
+		for c := range s.reading {
 			conns = append(conns, c)
 		}
 		s.connsMu.Unlock()
 		for _, c := range conns {
-			if c != nil {
-				c.c.Close()
+			if hc, ok := c.c.(interface{ CloseWrite() error }); ok {
+				_ = hc.CloseWrite()
 			}
 		}
+		drained := make(chan struct{})
+		go func() {
+			s.loops.Wait()
+			close(drained)
+		}()
+		select {
+		case <-drained:
+		case <-time.After(closeDrainTimeout):
+		}
+		for _, c := range conns {
+			c.c.Close()
+		}
+		// With done and every socket closed, each remaining loop ends at
+		// its next read or delivery.
+		<-drained
 	})
 	return nil
 }

@@ -366,3 +366,86 @@ func TestTCPGetChecksum(t *testing.T) {
 		t.Fatal("checksummed TCP Get mismatch")
 	}
 }
+
+// TestStreamCloseDeliversWrittenFrames is the orderly-close regression:
+// every frame whose Send returned before Close must reach the peer, even
+// when the peer is still backed up (its inbox full, so the frames sit in
+// socket buffers) and writes to the closing side while it closes. A close
+// that shuts the read side too would turn that inbound write into a
+// reset, and the reset discards this side's unsent frames.
+func TestStreamCloseDeliversWrittenFrames(t *testing.T) {
+	cfg := Config{InboxDepth: 4}
+	a, err := ListenTCP(0, 2, "127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ListenTCP(1, 2, "127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	addrs := []string{a.Addr(), b.Addr()}
+	if err := a.Join(addrs); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Join(addrs); err != nil {
+		t.Fatal(err)
+	}
+
+	// b does not receive yet: four frames fill its inbox, its read loop
+	// blocks, and the rest wait in the socket buffers.
+	const frames, frameBytes = 48, 16 << 10
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, frameBytes) }
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < frames; i++ {
+			if err := a.Send(1, Header{Kind: 1, MsgID: uint64(i)}, payload(i)); err != nil {
+				sent <- fmt.Errorf("send %d: %w", i, err)
+				return
+			}
+		}
+		sent <- nil
+	}()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("sends did not complete into the socket buffers")
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		a.Close()
+		close(closed)
+	}()
+	time.Sleep(50 * time.Millisecond)
+	// The backed-up peer writes to the closing side.
+	if err := b.Send(0, Header{Kind: 1}, []byte("late")); err != nil {
+		t.Fatalf("b's write toward the closing side: %v", err)
+	}
+	time.Sleep(50 * time.Millisecond)
+
+	for i := 0; i < frames; i++ {
+		got := make(chan *Packet, 1)
+		go func() {
+			pkt, _ := b.Recv()
+			got <- pkt
+		}()
+		select {
+		case pkt := <-got:
+			if pkt == nil || pkt.Hdr.Kind != 1 || pkt.Hdr.MsgID != uint64(i) || !bytes.Equal(pkt.Payload, payload(i)) {
+				t.Fatalf("frame %d of %d lost or damaged after the sender closed (got %+v)", i, frames, pkt)
+			}
+			pkt.Release()
+		case <-time.After(5 * time.Second):
+			t.Fatalf("frame %d of %d never arrived after the sender closed", i, frames)
+		}
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the peer drained")
+	}
+}

@@ -71,9 +71,9 @@ type Info struct {
 	// Epoch is this process's incarnation under its rank: 0 for an
 	// original worker, n for the n-th supervised respawn. A non-zero
 	// epoch switches Connect from the startup barrier to the rejoin
-	// exchange and offsets the reliable-protocol message-id space so the
-	// replacement's traffic cannot collide with its predecessor's dedup
-	// records on surviving peers.
+	// exchange and offsets the message-id space so the replacement's
+	// traffic cannot collide with state its predecessor left on
+	// surviving peers (dedup records, probe-claimed messages).
 	Epoch int
 }
 
@@ -272,9 +272,10 @@ func (in *Info) Connect(opt core.Options) (*World, error) {
 		opt.UCP.Heartbeat = hb
 	}
 	// A replacement restarts its message-id counter at zero; offsetting
-	// the id space by incarnation keeps its first reliable sends from
-	// colliding with the dead predecessor's dedup records on peers that
-	// have not purged them yet.
+	// the id space by incarnation keeps its first sends from colliding
+	// with state peers still key by the dead predecessor's ids: dedup
+	// records in acked worlds, and in every world messages a receive
+	// claimed by probe but never took (Revive keeps those).
 	if in.Epoch > 0 && opt.UCP.MsgIDBase == 0 {
 		opt.UCP.MsgIDBase = uint64(in.Epoch) << 40
 	}
@@ -295,33 +296,33 @@ func (in *Info) Connect(opt core.Options) (*World, error) {
 	if in.Epoch > 0 && opt.UCP.Heartbeat.Period > 0 && opt.UCP.Heartbeat.BootGrace == 0 {
 		opt.UCP.Heartbeat.BootGrace = 10 * time.Second
 	}
-	// Cross-process worlds always run the acked eager protocol. Unlike
-	// the in-process transport, a socket can lose data when its peer
-	// process exits right after writing (a TCP close with unread inbound
-	// bytes turns into a reset, which discards kernel-buffered data in
-	// both directions) — and a dissemination barrier lets fast ranks
-	// exit while their last token to a laggard is still in flight. With
-	// acked completion, a send that has completed is a send the
-	// receiver's worker holds, so finish-barrier-then-exit is safe.
-	opt.UCP.Reliable = true
-	// Launched jobs oversubscribe cores hard — every rank is a full OS
-	// process, and CI-class machines run 128 of them on a few CPUs — so
-	// a receiver can legitimately sit unscheduled for whole seconds.
-	// Unless the caller tuned them, give retransmission a far longer
-	// budget than the in-process defaults, scaled by how oversubscribed
-	// this job actually is, so scheduler starvation is not misread as
-	// message loss.
-	over := (in.Size + runtime.NumCPU() - 1) / runtime.NumCPU()
-	if opt.UCP.RexmitMax == 0 {
-		opt.UCP.RexmitMax = time.Second
-		if over >= 8 {
-			opt.UCP.RexmitMax = 2 * time.Second
+	// Launched worlds run the unacked eager protocol: sockets and SHM
+	// rings already deliver reliably, and exit safety comes from the
+	// providers' orderly close (a stream half-closes and drains to EOF, an
+	// SHM ring is drained before its producer's exit counts as death), so
+	// a completed send survives its sender's exit.
+	//
+	// Callers that ask for Reliable (acked delivery over lossy links)
+	// get a far longer retransmission budget than the in-process
+	// defaults, unless they tuned it: launched jobs oversubscribe cores
+	// hard — every rank is a full OS process, and CI-class machines run
+	// 128 of them on a few CPUs — so a receiver can legitimately sit
+	// unscheduled for whole seconds. The budget scales with how
+	// oversubscribed this job is, so scheduler starvation is not misread
+	// as message loss.
+	if opt.UCP.Reliable {
+		over := (in.Size + runtime.NumCPU() - 1) / runtime.NumCPU()
+		if opt.UCP.RexmitMax == 0 {
+			opt.UCP.RexmitMax = time.Second
+			if over >= 8 {
+				opt.UCP.RexmitMax = 2 * time.Second
+			}
 		}
-	}
-	if opt.UCP.RexmitRetries == 0 {
-		opt.UCP.RexmitRetries = 20
-		if over >= 8 {
-			opt.UCP.RexmitRetries = 45
+		if opt.UCP.RexmitRetries == 0 {
+			opt.UCP.RexmitRetries = 20
+			if over >= 8 {
+				opt.UCP.RexmitRetries = 45
+			}
 		}
 	}
 

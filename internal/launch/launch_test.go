@@ -73,6 +73,27 @@ func TestLaunchAllreduceWithTopology(t *testing.T) {
 	}
 }
 
+// TestLaunchExitSafety is the exit-safety regression for unacked
+// launched worlds: rank 0 sends a burst of single- and multi-fragment
+// eager messages plus one rendezvous message and exits at once, while
+// rank 1 is still asleep; rank 1 must then receive every payload intact
+// (see taskExitSafety). A close that resets connections with data in
+// flight, or a death verdict for rank 0 that overtakes its last
+// messages, fails it.
+func TestLaunchExitSafety(t *testing.T) {
+	for _, tr := range []string{TransportSHM, TransportTCP} {
+		t.Run(tr, func(t *testing.T) {
+			err, out := runJob(t, 2, tr, "exitsafety", 0, time.Minute)
+			if err != nil {
+				t.Fatalf("job failed: %v\n%s", err, out)
+			}
+			if !strings.Contains(out, "intact") {
+				t.Fatalf("rank 1 did not report its verification:\n%s", out)
+			}
+		})
+	}
+}
+
 // TestLaunchLazyDialRing is the lazy-dialing acceptance check across
 // real processes: ring-neighbor traffic must leave each rank holding at
 // most its ring degree in connections, not a full mesh.

@@ -2,6 +2,7 @@ package launch
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"os/signal"
@@ -65,16 +66,17 @@ func RunTask(name string, in *Info, opt core.Options) error {
 	if err != nil && os.Getenv(EnvDebug) != "" {
 		debugDump(w, err.Error())
 	}
-	if err == nil {
+	if err == nil && name != "exitsafety" {
 		// Exit linger: task completion is not symmetric across ranks. A
-		// rank can finish the closing collective and exit while a peer
-		// still owes that collective's last acknowledgements — and a
-		// straggler whose retransmissions then hit a closed port reads
-		// connect-refused as hard death evidence and declares the finished
-		// rank failed (observed as a survivor stranded at size 1 after
-		// everyone else exited cleanly). Keep the fabric alive briefly so
-		// stragglers drain; heartbeats keep flowing, so the linger can
-		// never be mistaken for a death.
+		// rank can finish the closing collective and exit while a peer is
+		// still inside it, and the peer reads the exit as a death (a
+		// refused redial is hard evidence) — in acked worlds while its
+		// retransmissions still owe the finished rank acknowledgements
+		// (observed as a survivor stranded at size 1 after everyone else
+		// exited cleanly). Keep the fabric alive briefly so stragglers
+		// finish; heartbeats keep flowing, so the linger can never be
+		// mistaken for a death. The exit-safety task skips it: exiting at
+		// once is what it tests.
 		time.Sleep(exitLinger)
 	}
 	return err
@@ -104,6 +106,8 @@ func runTask(name string, w *World) error {
 		return taskFacts(w)
 	case "bench":
 		return taskBench(w)
+	case "exitsafety":
+		return taskExitSafety(w.Comm)
 	default:
 		return fmt.Errorf("launch: unknown worker task %q", name)
 	}
@@ -246,9 +250,9 @@ func taskRingping(w *World) error {
 	// collective): a two-pass ring token barrier. The collect pass
 	// certifies every rank finished its traffic; the release pass lets
 	// ranks exit. Both passes ride the existing neighbor links, so the
-	// connection count stays exactly the ring degree — and under the
-	// reliable protocol the final release forward is acked before the
-	// forwarding rank tears down.
+	// connection count stays exactly the ring degree — and the final
+	// release forward survives its sender's exit because the transport
+	// closes in order.
 	token := make([]byte, 1)
 	for _, tag := range []int{11, 12} {
 		if rank == 0 {
@@ -347,6 +351,89 @@ func taskKillself(w *World) error {
 	}
 	if c.Rank() == victim {
 		_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
+	}
+	return nil
+}
+
+// Exit-safety burst: every size class an unacked eager send can take —
+// one fragment (ring-eligible on SHM) and two fragments (always on the
+// socket) — small enough that rank 0 never waits on rank 1's ring, and
+// ending in a one-fragment message.
+var exitBurstSizes = []int{8, 700, 20000, 4096, 32 << 10, 16 << 10}
+
+const (
+	exitBurstLen  = 36
+	exitRndvBytes = 1 << 20
+	// exitIdle is long enough for rank 1's SHM ring poller to fall into
+	// its deepest idle sleep before the burst, so the burst waits in the
+	// ring while rank 0 exits.
+	exitIdle = 2500 * time.Millisecond
+)
+
+// taskExitSafety is the exit-safety regression workload. Rank 0 sends a
+// warm-up message (which brings up an SHM pair's eager ring), one
+// rendezvous message, which completes only once rank 1 wakes up and
+// pulls it, then a burst of eager messages, and returns at once (RunTask
+// skips the exit linger for it): its transport closes while the burst
+// may still be in flight. Rank 1 posts the receive for the burst's last
+// message up front, sleeps before posting the rest, and verifies every
+// payload after rank 0 is gone. Unacked eager sends complete locally, so
+// this passes only if closing a transport delivers everything written
+// before it, and the receiver's death verdict for rank 0 trails rank 0's
+// last messages — the posted receive fails otherwise.
+func taskExitSafety(c *core.Comm) error {
+	size := func(i int) int { return exitBurstSizes[i%len(exitBurstSizes)] }
+	const warmTag, rndvTag, tag0 = 98, 99, 100
+	warm := make([]byte, 8)
+	switch c.Rank() {
+	case 0:
+		if err := c.Send(warm, 8, core.TypeBytes, 1, warmTag); err != nil {
+			return err
+		}
+		if err := c.Send(fill(exitRndvBytes, 1), exitRndvBytes, core.TypeBytes, 1, rndvTag); err != nil {
+			return err
+		}
+		for i := 0; i < exitBurstLen; i++ {
+			if err := c.Send(fill(size(i), byte(i)), core.Count(size(i)), core.TypeBytes, 1, tag0+i); err != nil {
+				return fmt.Errorf("rank 0: burst message %d: %w", i, err)
+			}
+		}
+	case 1:
+		got := make([][]byte, exitBurstLen)
+		for i := range got {
+			got[i] = make([]byte, size(i))
+		}
+		last := exitBurstLen - 1
+		lr, err := c.Irecv(got[last], core.Count(size(last)), core.TypeBytes, 0, tag0+last)
+		if err != nil {
+			return err
+		}
+		if _, err := c.Recv(warm, 8, core.TypeBytes, 0, warmTag); err != nil {
+			return err
+		}
+		time.Sleep(exitIdle)
+		rndv := make([]byte, exitRndvBytes)
+		if _, err := c.Recv(rndv, exitRndvBytes, core.TypeBytes, 0, rndvTag); err != nil {
+			return fmt.Errorf("rank 1: rendezvous message: %w", err)
+		}
+		time.Sleep(300 * time.Millisecond) // rank 0 sends its burst and exits
+		for i := 0; i < last; i++ {
+			if _, err := c.Recv(got[i], core.Count(size(i)), core.TypeBytes, 0, tag0+i); err != nil {
+				return fmt.Errorf("rank 1: burst message %d: %w", i, err)
+			}
+		}
+		if _, err := lr.Wait(); err != nil {
+			return fmt.Errorf("rank 1: last burst message: %w", err)
+		}
+		if !bytes.Equal(rndv, fill(exitRndvBytes, 1)) {
+			return errors.New("rank 1: rendezvous payload corrupted")
+		}
+		for i, b := range got {
+			if !bytes.Equal(b, fill(size(i), byte(i))) {
+				return fmt.Errorf("rank 1: burst message %d (%d bytes) corrupted", i, size(i))
+			}
+		}
+		fmt.Printf("rank 1: %d eager messages and 1 rendezvous intact\n", exitBurstLen)
 	}
 	return nil
 }

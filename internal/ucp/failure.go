@@ -30,12 +30,40 @@ package ucp
 // sequencing revival before any traffic toward the new incarnation.
 
 import (
+	"errors"
 	"fmt"
 	"time"
+
+	"mpicd/internal/fabric"
 )
 
 func procFailedErr(rank int) error {
 	return fmt.Errorf("%w: rank %d", ErrProcFailed, rank)
+}
+
+// sendFailure resolves a wire failure toward dst into the failure
+// taxonomy. An acked send rides out a broken link on retransmission
+// until DeclarePeerFailed completes it with ErrProcFailed; an unacked
+// send fails on the spot, so it waits here for the same verdict instead
+// — up to the detector's window, and only while the link is down — and
+// reports ErrProcFailed once dst is declared dead, whatever the link
+// said. Without a detector there is no verdict to wait for.
+func (w *Worker) sendFailure(dst int, err error) error {
+	if w.det != nil && errors.Is(err, fabric.ErrLinkDown) {
+		window := w.det.DeadAfter()
+		deadline := time.Now().Add(window + window/2 + 100*time.Millisecond)
+		for !w.PeerFailed(dst) && time.Now().Before(deadline) {
+			select {
+			case <-w.quit:
+				return err
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+	if w.PeerFailed(dst) {
+		return procFailedErr(dst)
+	}
+	return err
 }
 
 // PeerFailed reports whether rank has been declared dead on this worker.

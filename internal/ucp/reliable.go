@@ -518,6 +518,13 @@ func (w *Worker) sendAck(to int, id uint64, status int64) {
 		return
 	}
 	w.ackQ = append(w.ackQ, ackItem{to, id, status})
+	if !w.ackStarted {
+		// Started under ackMu while !ackClosed, so the wg.Add happens
+		// before Close's wg.Wait.
+		w.ackStarted = true
+		w.wg.Add(1)
+		go w.ackPump()
+	}
 	w.ackMu.Unlock()
 	w.ackCond.Signal()
 }

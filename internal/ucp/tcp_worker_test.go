@@ -2,10 +2,12 @@ package ucp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"mpicd/internal/fabric"
 )
@@ -153,5 +155,45 @@ func TestTCPWorkerBidirectional(t *testing.T) {
 	case err := <-errc:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// TestUnackedSendDeclaredFailedDuringFirstDial pins the unacked eager
+// path's failure taxonomy: a send blocked in first contact with a peer
+// that never answers, whose death is then declared, returns
+// ErrProcFailed promptly — not the dial campaign's ErrLinkDown, which
+// recovery code (agreement, Shrink) cannot act on. The acked path gets
+// the same answer from the retransmit entry DeclarePeerFailed fails.
+func TestUnackedSendDeclaredFailedDuringFirstDial(t *testing.T) {
+	// Rank 1's address is a port nobody listens on: its first dial is
+	// refused, which is only soft evidence before any connection existed,
+	// so the campaign keeps retrying for the full dial window.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	nic, err := fabric.ListenTCP(0, 2, "127.0.0.1:0", fabric.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nic.Join([]string{nic.Addr(), dead}); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(nic, Config{})
+	defer w.Close()
+
+	go func() {
+		time.Sleep(100 * time.Millisecond)
+		w.DeclarePeerFailed(1)
+	}()
+	start := time.Now()
+	_, err = w.Send(1, 7, Contig{}, make([]byte, 64), 64, 0, ProtoEager)
+	if !errors.Is(err, ErrProcFailed) {
+		t.Fatalf("send to a peer declared failed mid-dial = %v, want ErrProcFailed", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("send took %v to observe the death verdict", d)
 	}
 }

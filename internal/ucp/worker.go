@@ -36,10 +36,12 @@ type Worker struct {
 	rng           *rand.Rand // retransmit jitter; guarded by mu
 
 	// Outbound eager-ack queue (see ackPump in reliable.go), guarded by
-	// ackMu. ackClosed stops the pump.
+	// ackMu. The pump starts with the first ack, so a world that never
+	// runs the acked protocol never runs it; ackClosed stops it.
 	ackMu      sync.Mutex
 	ackCond    *sync.Cond
 	ackQ       []ackItem
+	ackStarted bool
 	ackClosed  bool
 	ackDrained chan struct{} // closed by ackPump once the queue is flushed after ackClosed
 
@@ -180,8 +182,6 @@ func NewWorker(nic fabric.NIC, cfg Config) *Worker {
 	w.cond = sync.NewCond(&w.mu)
 	w.ackCond = sync.NewCond(&w.ackMu)
 	w.ackDrained = make(chan struct{})
-	w.wg.Add(1)
-	go w.ackPump()
 	w.setupObs(w.cfg.Obs)
 	if hb := w.cfg.Heartbeat; hb.Period > 0 {
 		if hb.Obs == nil && w.cfg.Obs != nil {
@@ -190,18 +190,6 @@ func NewWorker(nic fabric.NIC, cfg Config) *Worker {
 		w.det = fabric.NewDetector(nic, hb)
 		w.det.OnDead(w.DeclarePeerFailed)
 		w.nic = w.det
-	} else if h, ok := nic.(interface{ SetPeerDownHook(func(int, bool)) }); ok {
-		// No detector, but the provider can still report hard link-level
-		// death evidence (a refused redial to a peer that was connected:
-		// its process is gone). Feed it straight into failure
-		// notification so cross-process death fails fast even without
-		// heartbeats. Soft evidence needs the detector's state machine to
-		// mean anything; ignore it here.
-		h.SetPeerDownHook(func(rank int, hard bool) {
-			if hard {
-				w.DeclarePeerFailed(rank)
-			}
-		})
 	}
 	w.wg.Add(1)
 	go w.loop()
@@ -236,6 +224,7 @@ func (w *Worker) Close() {
 	close(w.quit)
 	w.ackMu.Lock()
 	w.ackClosed = true
+	pump := w.ackStarted
 	w.ackMu.Unlock()
 	w.ackCond.Broadcast()
 	for _, r := range posted {
@@ -251,9 +240,11 @@ func (w *Worker) Close() {
 	// into a closed endpoint for its whole timeout budget. Bounded wait:
 	// if a peer has genuinely wedged the pump, nic.Close below unblocks
 	// it and the remaining acks are lost — that peer is failing anyway.
-	select {
-	case <-w.ackDrained:
-	case <-time.After(3 * time.Second):
+	if pump {
+		select {
+		case <-w.ackDrained:
+		case <-time.After(3 * time.Second):
+		}
 	}
 	w.nic.Close()
 	w.wg.Wait()
@@ -355,7 +346,7 @@ func (w *Worker) Send(dst int, tag Tag, dt Datatype, buf any, count int64, aux i
 			w.mu.Unlock()
 			w.nic.Deregister(key)
 			src.Finish()
-			return nil, err
+			return nil, w.sendFailure(dst, err)
 		}
 		return req, nil
 	}
@@ -381,8 +372,12 @@ func (w *Worker) Send(dst int, tag Tag, dt Datatype, buf any, count int64, aux i
 		err = ferr
 	}
 	if err != nil {
-		// Notify the receiver so a matched receive does not hang.
-		_ = w.nic.Send(dst, fabric.Header{Kind: kindAbort, Tag: uint64(tag), MsgID: id, Total: total, Aux0: aux}, []byte(err.Error()))
+		if errors.Is(err, fabric.ErrLinkDown) {
+			err = w.sendFailure(dst, err)
+		} else {
+			// Notify the receiver so a matched receive does not hang.
+			_ = w.nic.Send(dst, fabric.Header{Kind: kindAbort, Tag: uint64(tag), MsgID: id, Total: total, Aux0: aux}, []byte(err.Error()))
+		}
 		req.complete(dst, tag, 0, aux, err)
 		return req, err
 	}
@@ -939,6 +934,12 @@ func (w *Worker) handle(pkt *fabric.Packet) {
 		w.handleAbort(pkt)
 	case kindEagerAck:
 		w.handleEagerAck(pkt)
+	case fabric.KindPeerGone:
+		// The provider's death verdict, ordered after the peer's last
+		// messages (the detector consumes it when heartbeats are on).
+		from := pkt.From
+		pkt.Release()
+		w.DeclarePeerFailed(from)
 	default:
 		pkt.Release()
 	}
