@@ -154,12 +154,6 @@ type Config struct {
 	OutOfOrder bool
 	// Seed drives the out-of-order shuffle.
 	Seed int64
-	// PerPacket is an artificial per-packet latency (busy-wait) used to
-	// model link/NIC per-message overhead. Zero disables it.
-	PerPacket time.Duration
-	// PerGet is an artificial per-Get-window overhead modelling the RDMA
-	// read round trip. Zero disables it.
-	PerGet time.Duration
 	// Checksum enables CRC32C integrity protection on byte-stream
 	// providers: TCP Get responses carry a per-frame checksum verified
 	// before the payload touches the sink (a mismatch fails the Get with
@@ -172,19 +166,9 @@ type Config struct {
 	Obs *obs.Registry
 
 	// DialTimeout bounds connection establishment on byte-stream
-	// providers: the eager-mesh wait, each lazy first dial, and each
-	// redial campaign after a connection breaks. Zero means 30s.
+	// providers: each lazy first dial and each redial campaign after a
+	// connection breaks. Zero means 30s.
 	DialTimeout time.Duration
-	// DialBackoff paces connection attempts during establishment and
-	// redial. The zero value means 20ms base, 1s cap, factor 2,
-	// jitter 0.25.
-	DialBackoff Backoff
-	// EagerMesh makes Join/NewTCP dial every lower rank up front and
-	// block until the full mesh is up — the pre-lazy-dialing behaviour.
-	// Off by default: at 128+ ranks the O(N²) simultaneous dials
-	// stampede listener backlogs, so connections are established on
-	// first use instead.
-	EagerMesh bool
 
 	// Epoch is this process's incarnation number under its rank — the
 	// launcher's restart counter (0 for an original world member).
@@ -260,16 +244,4 @@ func CRC32(b []byte) uint32 { return crc32.Checksum(b, crcTab) }
 
 func rangeErr(what string, rank, size int) error {
 	return fmt.Errorf("fabric: %s rank %d out of range [0,%d)", what, rank, size)
-}
-
-// spin busy-waits for roughly d. Sub-microsecond sleeps are not achievable
-// with the runtime timer, and the benchmarks need stable per-packet costs,
-// so a calibrated spin is used instead.
-func spin(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-	}
 }

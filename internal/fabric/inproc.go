@@ -139,7 +139,6 @@ func (n *inprocNIC) deliver(to int, hdr Header, payload []byte, buf *[]byte) err
 		n.fab.putBuf(buf)
 		return rangeErr("destination", to, len(n.fab.nics))
 	}
-	spin(n.fab.cfg.PerPacket)
 	pkt := &Packet{
 		From:    n.rank,
 		Hdr:     hdr,
@@ -234,11 +233,7 @@ func (n *inprocNIC) Get(from int, key uint64, off int64, sink Sink, sinkOff, siz
 	}
 	bounce := n.fab.getBuf(n.fab.cfg.FragSize)
 	defer n.fab.putBuf(bounce)
-	perWindow := func() { spin(n.fab.cfg.PerGet) }
-	if n.fab.cfg.PerGet == 0 {
-		perWindow = nil
-	}
-	return pull(src, off, sink, sinkOff, size, (*bounce)[:n.fab.cfg.FragSize], perWindow)
+	return pull(src, off, sink, sinkOff, size, (*bounce)[:n.fab.cfg.FragSize])
 }
 
 func (n *inprocNIC) Close() error {

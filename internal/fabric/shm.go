@@ -525,7 +525,6 @@ func (s *SHM) Send(to int, hdr Header, payload ...[]byte) error {
 		at += copy(buf[at:], p)
 	}
 	o.ring.Commit(at)
-	spin(s.cfg.PerPacket)
 	s.ringSends.Add(1)
 	return nil
 }
@@ -562,7 +561,6 @@ func (s *SHM) SendFrom(to int, hdr Header, src Source, off, size int64) (int64, 
 		return 0, ErrShortTransfer
 	}
 	o.ring.Commit(headerWireSize + got)
-	spin(s.cfg.PerPacket)
 	s.ringSends.Add(1)
 	return int64(got), nil
 }
@@ -704,7 +702,6 @@ func (s *SHM) serveWindowGet(peer int, hdr Header) {
 			fail(ErrShortTransfer.Error())
 			return
 		}
-		spin(s.cfg.PerGet)
 		ann := Header{Kind: kindWinData, Tag: c, MsgID: hdr.MsgID,
 			Offset: off, Total: hdr.Total, Aux0: int64(base), Aux1: int64(n)}
 		if s.stream.Send(peer, ann) != nil {

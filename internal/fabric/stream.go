@@ -42,14 +42,13 @@ const (
 // protocol, lazy connection establishment and redial.
 //
 // Connection model: links are established on demand — the first send or
-// Get toward a peer dials it (Config.EagerMesh restores the old
-// dial-everything-at-startup behaviour). Either side may initiate; at
-// most one connection per pair survives. A dialer announces its rank
-// (hello) and waits for a verdict byte: the acceptor either installs the
-// connection (helloAccept) or, when its own dial to that peer is already
-// in flight and it is the canonical dialer (the higher rank), tells the
-// lower rank to yield and wait for the inbound connection (helloYield) —
-// the deterministic tie-break that collapses simultaneous dials.
+// Get toward a peer dials it. Either side may initiate; at most one
+// connection per pair survives. A dialer announces its rank (hello) and
+// waits for a verdict byte: the acceptor either installs the connection
+// (helloAccept) or, when its own dial to that peer is already in flight
+// and it is the canonical dialer (the higher rank), tells the lower rank
+// to yield and wait for the inbound connection (helloYield) — the
+// deterministic tie-break that collapses simultaneous dials.
 //
 // Broken connections are redialed with exponential backoff by the higher
 // rank; while a link is down, sends to and Gets from that peer fail with
@@ -160,12 +159,11 @@ type streamGet struct {
 	done    chan error
 }
 
-// Dial defaults applied when Config leaves the knobs zero. These used to
-// be mutable package globals (racy; removed) — per-endpoint behaviour is
-// configured through Config.DialTimeout / Config.DialBackoff.
+// defaultDialTimeout applies when Config.DialTimeout is zero.
 const defaultDialTimeout = 30 * time.Second
 
-var defaultDialBackoff = Backoff{Base: 20 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.25}
+// dialBackoff paces connection attempts during establishment and redial.
+var dialBackoff = Backoff{Base: 20 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.25}
 
 // newStream binds the local endpoint (bind may carry an ephemeral port
 // such as "127.0.0.1:0" — the bound address is reported by Addr) and
@@ -177,9 +175,6 @@ func newStream(network string, rank, size int, bind string, cfg Config) (*stream
 	cfg = NewConfig(cfg)
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = defaultDialTimeout
-	}
-	if cfg.DialBackoff.Base <= 0 {
-		cfg.DialBackoff = defaultDialBackoff
 	}
 	s := &stream{
 		cfg:        cfg,
@@ -227,10 +222,8 @@ func newStream(network string, rank, size int, bind string, cfg Config) (*stream
 // ":0"), for the bootstrap exchange.
 func (s *stream) Addr() string { return s.ln.Addr().String() }
 
-// join provides the full peer address table. With Config.EagerMesh set it
-// dials every lower rank and blocks until the full mesh is up (the
-// pre-lazy behaviour existing tests rely on); otherwise it returns
-// immediately and links come up on first use.
+// join provides the full peer address table and returns immediately;
+// links come up on first use.
 func (s *stream) join(addrs []string) error {
 	if len(addrs) != s.size {
 		return fmt.Errorf("fabric: rank %d join with %d addresses, world size %d", s.rank, len(addrs), s.size)
@@ -238,50 +231,7 @@ func (s *stream) join(addrs []string) error {
 	s.connsMu.Lock()
 	s.addrs = append([]string(nil), addrs...)
 	s.connsMu.Unlock()
-	if !s.cfg.EagerMesh {
-		return nil
-	}
-	// Eager full mesh: rank i accepts from every higher rank and dials
-	// every lower rank, concurrently.
-	errc := make(chan error, s.rank)
-	for peer := 0; peer < s.rank; peer++ {
-		go func(peer int) {
-			errc <- s.dialPeer(peer)
-		}(peer)
-	}
-	deadline := time.Now().Add(s.cfg.DialTimeout)
-	for {
-		select {
-		case err := <-errc:
-			if err != nil {
-				s.Close()
-				return err
-			}
-			continue
-		default:
-		}
-		if missing := s.missingPeers(); len(missing) == 0 {
-			return nil
-		} else if time.Now().After(deadline) {
-			s.Close()
-			return fmt.Errorf("fabric: rank %d mesh incomplete after %v: missing peer(s) %v",
-				s.rank, s.cfg.DialTimeout, missing)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// missingPeers lists every rank the full mesh still lacks a connection to.
-func (s *stream) missingPeers() []int {
-	s.connsMu.RLock()
-	defer s.connsMu.RUnlock()
-	var missing []int
-	for peer, conn := range s.conns {
-		if peer != s.rank && conn == nil {
-			missing = append(missing, peer)
-		}
-	}
-	return missing
+	return nil
 }
 
 // SetPeerDownHook installs a callback for link-level peer-death evidence.
@@ -601,7 +551,7 @@ func (s *stream) dialPeer(peer int) error {
 			return fmt.Errorf("fabric: rank %d: peer rank %d unreachable at %q after %v: %w (%v)",
 				s.rank, peer, addr, s.cfg.DialTimeout, ErrLinkDown, lastErr)
 		}
-		d := s.cfg.DialBackoff.Delay(attempt, rng)
+		d := dialBackoff.Delay(attempt, rng)
 		select {
 		case <-s.done:
 			return ErrClosed
@@ -875,7 +825,6 @@ func (s *stream) writeFrame(conn *streamConn, hdr Header, payload ...[]byte) err
 			bufs = append(bufs, p)
 		}
 	}
-	spin(s.cfg.PerPacket)
 	conn.wmu.Lock()
 	_, err := bufs.WriteTo(conn.c)
 	conn.wmu.Unlock()

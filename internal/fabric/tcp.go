@@ -10,11 +10,10 @@ import "fmt"
 // control and spill plane over unix sockets.
 //
 // Connections are established lazily: the first send toward a peer dials
-// it, so a rank that talks to k peers holds k sockets instead of Size-1
-// (Config.EagerMesh restores the old dial-everything-at-startup
-// behaviour). Broken connections are redialed with exponential backoff by
-// the higher rank; while a link is down, sends to and Gets from that peer
-// fail with ErrLinkDown so the transport layer can retry.
+// it, so a rank that talks to k peers holds k sockets instead of Size-1.
+// Broken connections are redialed with exponential backoff by the higher
+// rank; while a link is down, sends to and Gets from that peer fail with
+// ErrLinkDown so the transport layer can retry.
 type TCP struct {
 	*stream
 }
@@ -32,10 +31,7 @@ func ListenTCP(rank, size int, bind string, cfg Config) (*TCP, error) {
 }
 
 // Join provides the full peer address table (addrs[i] is rank i's bound
-// address). With Config.EagerMesh set it dials every lower rank and
-// blocks until the full mesh is up or Config.DialTimeout passes, in which
-// case the error names every missing peer; otherwise it returns
-// immediately and connections come up on first use.
+// address). It returns immediately; connections come up on first use.
 func (t *TCP) Join(addrs []string) error { return t.join(addrs) }
 
 // NewTCP attaches rank to a TCP fabric whose rank i listens at addrs[i] —

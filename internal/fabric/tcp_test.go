@@ -11,66 +11,8 @@ import (
 	"time"
 )
 
-// freeAddrs reserves n distinct loopback ports and returns their addresses.
-func freeAddrs(t *testing.T, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs
-}
-
-// dialMesh brings up an n-rank TCP fabric on loopback with the full mesh
-// established eagerly (these tests predate lazy dialing and some reach
-// into connection state directly).
-func dialMesh(t *testing.T, n int, cfg Config) []*TCP {
-	t.Helper()
-	cfg.EagerMesh = true
-	addrs := freeAddrs(t, n)
-	nics := make([]*TCP, n)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			nic, err := NewTCP(i, addrs, cfg)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("rank %d: %w", i, err)
-				return
-			}
-			nics[i] = nic
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		t.Fatal(firstErr)
-	}
-	t.Cleanup(func() {
-		for _, nic := range nics {
-			if nic != nil {
-				nic.Close()
-			}
-		}
-	})
-	return nics
-}
-
 func TestTCPSendRecv(t *testing.T) {
-	nics := dialMesh(t, 2, Config{})
+	nics := lazyMesh(t, 2, Config{})
 	payload := make([]byte, 3000)
 	fillPattern(payload, 4)
 	hdr := Header{Kind: 5, Tag: 99, MsgID: 1, Offset: 10, Total: 3000, Aux0: -7, Aux1: 12345}
@@ -90,7 +32,7 @@ func TestTCPSendRecv(t *testing.T) {
 }
 
 func TestTCPGatherSendFromIov(t *testing.T) {
-	nics := dialMesh(t, 2, Config{})
+	nics := lazyMesh(t, 2, Config{})
 	src, all := makeIov(t, 7, 1000, 13)
 	if n, err := nics[0].SendFrom(1, Header{Total: src.Size()}, src, 0, src.Size()); err != nil || n != src.Size() {
 		t.Fatalf("SendFrom = %d, %v", n, err)
@@ -102,7 +44,7 @@ func TestTCPGatherSendFromIov(t *testing.T) {
 }
 
 func TestTCPSendFromGeneric(t *testing.T) {
-	nics := dialMesh(t, 2, Config{})
+	nics := lazyMesh(t, 2, Config{})
 	data := make([]byte, 900)
 	fillPattern(data, 6)
 	src := nonDirectSource{Bytes(data)}
@@ -116,7 +58,7 @@ func TestTCPSendFromGeneric(t *testing.T) {
 }
 
 func TestTCPRegisterGet(t *testing.T) {
-	nics := dialMesh(t, 2, Config{FragSize: 1024})
+	nics := lazyMesh(t, 2, Config{FragSize: 1024})
 	data := make([]byte, 10000)
 	fillPattern(data, 8)
 	key := nics[0].Register(Bytes(data))
@@ -141,7 +83,7 @@ func TestTCPRegisterGet(t *testing.T) {
 }
 
 func TestTCPThreeRankMesh(t *testing.T) {
-	nics := dialMesh(t, 3, Config{})
+	nics := lazyMesh(t, 3, Config{})
 	// Every rank sends to every other rank.
 	for src := 0; src < 3; src++ {
 		for dst := 0; dst < 3; dst++ {
@@ -173,28 +115,16 @@ func TestTCPThreeRankMesh(t *testing.T) {
 }
 
 func TestTCPSelfSendRejected(t *testing.T) {
-	nics := dialMesh(t, 2, Config{})
+	nics := lazyMesh(t, 2, Config{})
 	if err := nics[0].Send(0, Header{}); err == nil {
 		t.Fatal("self-send over TCP should be rejected")
 	}
 }
 
-func TestTCPMeshIncompleteNamesMissingPeer(t *testing.T) {
-	addrs := freeAddrs(t, 2)
-	// Rank 1 never comes up, so rank 0's accept-side mesh stays incomplete.
-	_, err := NewTCP(0, addrs, Config{EagerMesh: true, DialTimeout: 300 * time.Millisecond})
-	if err == nil {
-		t.Fatal("mesh with absent peer should fail")
-	}
-	if !strings.Contains(err.Error(), "missing peer(s) [1]") {
-		t.Fatalf("error does not name the missing peer: %v", err)
-	}
-}
-
-// lazyMesh brings up an n-rank TCP fabric with lazy dialing (the default)
-// using the ListenTCP/Addr/Join bootstrap flow: every rank binds an
-// ephemeral port and the bound addresses are exchanged afterwards,
-// exactly like the launcher's rendezvous.
+// lazyMesh brings up an n-rank TCP fabric using the ListenTCP/Addr/Join
+// bootstrap flow: every rank binds an ephemeral port and the bound
+// addresses are exchanged afterwards, exactly like the launcher's
+// rendezvous.
 func lazyMesh(t *testing.T, n int, cfg Config) []*TCP {
 	t.Helper()
 	nics := make([]*TCP, n)
@@ -291,7 +221,12 @@ func TestTCPLazySimultaneousDial(t *testing.T) {
 // error naming the peer rank and its advertised address — not a hang —
 // when that address is dead.
 func TestTCPUnreachablePeerNamesAddress(t *testing.T) {
-	dead := freeAddrs(t, 1)[0] // reserved then released: nothing listens here
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close() // reserved then released: nothing listens here
 	nic, err := ListenTCP(0, 2, "127.0.0.1:0", Config{DialTimeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -314,15 +249,16 @@ func TestTCPUnreachablePeerNamesAddress(t *testing.T) {
 }
 
 func TestTCPRedialAfterDisconnect(t *testing.T) {
-	nics := dialMesh(t, 2, Config{})
+	nics := lazyMesh(t, 2, Config{})
 	if err := nics[0].Send(1, Header{Tag: 1}, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	if pkt, ok := nics[1].Recv(); !ok || pkt.Payload[0] != 1 {
 		t.Fatal("pre-break send failed")
 	}
-	// Sever the socket out from under both sides. Rank 1 dialed rank 0,
-	// so rank 1 redials and rank 0's accept loop re-installs.
+	// Sever the socket out from under both sides. Rank 0 dialed on its
+	// first send, but the higher rank owns redials, so rank 1 redials and
+	// rank 0's accept loop re-installs.
 	nics[1].connsMu.RLock()
 	conn := nics[1].conns[0]
 	nics[1].connsMu.RUnlock()
@@ -354,7 +290,7 @@ func TestTCPRedialAfterDisconnect(t *testing.T) {
 }
 
 func TestTCPGetChecksum(t *testing.T) {
-	nics := dialMesh(t, 2, Config{FragSize: 1024, Checksum: true})
+	nics := lazyMesh(t, 2, Config{FragSize: 1024, Checksum: true})
 	data := make([]byte, 10000)
 	fillPattern(data, 9)
 	key := nics[0].Register(Bytes(data))

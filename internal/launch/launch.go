@@ -19,7 +19,6 @@ package launch
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -301,30 +300,6 @@ func (in *Info) Connect(opt core.Options) (*World, error) {
 	// providers' orderly close (a stream half-closes and drains to EOF, an
 	// SHM ring is drained before its producer's exit counts as death), so
 	// a completed send survives its sender's exit.
-	//
-	// Callers that ask for Reliable (acked delivery over lossy links)
-	// get a far longer retransmission budget than the in-process
-	// defaults, unless they tuned it: launched jobs oversubscribe cores
-	// hard — every rank is a full OS process, and CI-class machines run
-	// 128 of them on a few CPUs — so a receiver can legitimately sit
-	// unscheduled for whole seconds. The budget scales with how
-	// oversubscribed this job is, so scheduler starvation is not misread
-	// as message loss.
-	if opt.UCP.Reliable {
-		over := (in.Size + runtime.NumCPU() - 1) / runtime.NumCPU()
-		if opt.UCP.RexmitMax == 0 {
-			opt.UCP.RexmitMax = time.Second
-			if over >= 8 {
-				opt.UCP.RexmitMax = 2 * time.Second
-			}
-		}
-		if opt.UCP.RexmitRetries == 0 {
-			opt.UCP.RexmitRetries = 20
-			if over >= 8 {
-				opt.UCP.RexmitRetries = 45
-			}
-		}
-	}
 
 	var (
 		nic  fabric.NIC

@@ -66,27 +66,8 @@ func RunTask(name string, in *Info, opt core.Options) error {
 	if err != nil && os.Getenv(EnvDebug) != "" {
 		debugDump(w, err.Error())
 	}
-	if err == nil && name != "exitsafety" {
-		// Exit linger: task completion is not symmetric across ranks. A
-		// rank can finish the closing collective and exit while a peer is
-		// still inside it, and the peer reads the exit as a death (a
-		// refused redial is hard evidence) — in acked worlds while its
-		// retransmissions still owe the finished rank acknowledgements
-		// (observed as a survivor stranded at size 1 after everyone else
-		// exited cleanly). Keep the fabric alive briefly so stragglers
-		// finish; heartbeats keep flowing, so the linger can never be
-		// mistaken for a death. The exit-safety task skips it: exiting at
-		// once is what it tests.
-		time.Sleep(exitLinger)
-	}
 	return err
 }
-
-// exitLinger is how long a successfully finished worker keeps its fabric
-// serving (acks, retransmit requests, heartbeats) before exiting. It
-// must exceed the scheduling skew between ranks finishing the same final
-// collective on a loaded machine.
-const exitLinger = 500 * time.Millisecond
 
 func runTask(name string, w *World) error {
 	switch name {
@@ -114,17 +95,12 @@ func runTask(name string, w *World) error {
 }
 
 // debugDump writes the rank's transport forensics to stderr: protocol
-// counters, every send still awaiting acknowledgement (and which peer
-// owes the ack), and the provider's channel state.
+// counters and the provider's channel and connection state.
 func (w *World) debugDump(reason string) {
 	var b strings.Builder
 	st := w.worker.Stats()
 	fmt.Fprintf(&b, "rank %d debug (%s):\n", w.Info.Rank, reason)
-	fmt.Fprintf(&b, "  ucp: eager=%d acksSent=%d rexmits=%d dupFrags=%d timeouts=%d\n",
-		st.EagerSends.Load(), st.AcksSent.Load(), st.Retransmits.Load(), st.DupFrags.Load(), st.Timeouts.Load())
-	for _, e := range w.worker.RexmitSnapshot() {
-		fmt.Fprintf(&b, "  unacked: dst=%d tag=%#x eager=%v attempts=%d\n", e.Dst, e.Tag, e.Eager, e.Attempts)
-	}
+	fmt.Fprintf(&b, "  ucp: eager=%d timeouts=%d\n", st.EagerSends.Load(), st.Timeouts.Load())
 	if d, ok := w.nic.(interface{ DebugState() string }); ok {
 		b.WriteString(d.DebugState())
 	}
@@ -373,14 +349,14 @@ const (
 // taskExitSafety is the exit-safety regression workload. Rank 0 sends a
 // warm-up message (which brings up an SHM pair's eager ring), one
 // rendezvous message, which completes only once rank 1 wakes up and
-// pulls it, then a burst of eager messages, and returns at once (RunTask
-// skips the exit linger for it): its transport closes while the burst
-// may still be in flight. Rank 1 posts the receive for the burst's last
-// message up front, sleeps before posting the rest, and verifies every
-// payload after rank 0 is gone. Unacked eager sends complete locally, so
-// this passes only if closing a transport delivers everything written
-// before it, and the receiver's death verdict for rank 0 trails rank 0's
-// last messages — the posted receive fails otherwise.
+// pulls it, then a burst of eager messages, and returns at once: its
+// transport closes while the burst may still be in flight. Rank 1 posts
+// the receive for the burst's last message up front, sleeps before
+// posting the rest, and verifies every payload after rank 0 is gone.
+// Unacked eager sends complete locally, so this passes only if closing a
+// transport delivers everything written before it, and the receiver's
+// death verdict for rank 0 trails rank 0's last messages — the posted
+// receive fails otherwise.
 func taskExitSafety(c *core.Comm) error {
 	size := func(i int) int { return exitBurstSizes[i%len(exitBurstSizes)] }
 	const warmTag, rndvTag, tag0 = 98, 99, 100

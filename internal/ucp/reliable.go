@@ -470,27 +470,6 @@ func (w *Worker) addFragDedup(m *unexMsg, pkt *fabric.Packet) int64 {
 	return int64(len(pkt.Payload))
 }
 
-// RexmitInfo describes one unacknowledged reliable send — which peer
-// has not confirmed receipt, and how many resend rounds it has cost.
-// Debug/ops surface (launch workers dump it when a job dies).
-type RexmitInfo struct {
-	Dst      int
-	Tag      Tag
-	Eager    bool
-	Attempts int
-}
-
-// RexmitSnapshot lists the sends currently awaiting acknowledgement.
-func (w *Worker) RexmitSnapshot() []RexmitInfo {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]RexmitInfo, 0, len(w.rexmit))
-	for _, e := range w.rexmit {
-		out = append(out, RexmitInfo{Dst: e.dst, Tag: e.tag, Eager: e.eager, Attempts: e.attempts})
-	}
-	return out
-}
-
 // ackItem is one queued outbound eager ack.
 type ackItem struct {
 	to     int
