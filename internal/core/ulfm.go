@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"mpicd/internal/layout"
+	"mpicd/internal/obs"
 	"mpicd/internal/ucp"
 )
 
@@ -151,10 +152,9 @@ func (c *Comm) revokeListener() {
 			if errors.Is(err, ucp.ErrTimeout) {
 				continue // janitor deadline on a quiet comm; repost
 			}
-			c.ulfmTrace("revoke listener exit: %v", err)
 			return
 		}
-		c.ulfmTrace("notice %d received", buf[0])
+		obs.Note(obs.EvNoticeRecv, c.w.Rank(), -1, 0, int64(buf[0]))
 		if buf[0] == noticeFence {
 			c.fenceLocal()
 		} else {
@@ -200,12 +200,11 @@ func (c *Comm) revokeLocal(propagate bool) {
 		}
 		return true
 	}, ErrRevoked)
+	obs.Note(obs.EvRevoke, c.w.Rank(), -1, 0, int64(aborted))
 	if !propagate {
-		c.ulfmTrace("revoked locally (%d receives aborted)", aborted)
 		return
 	}
 	notice := []byte{noticeRevoke}
-	var flooded []int
 	for r := 0; r < c.Size(); r++ {
 		if r == c.rank || c.w.PeerFailed(c.group[r]) {
 			continue
@@ -213,13 +212,12 @@ func (c *Comm) revokeLocal(propagate bool) {
 		// Not waited: a peer that dies mid-flood must not stall the
 		// revoker, and transport-level failure notification completes
 		// the request either way.
+		kind := obs.EvNoticeSent
 		if _, err := c.w.Send(c.group[r], c.collTag(opRevoke, 0, 0), TypeBytes.transport(), notice, 1, 0, ucp.ProtoEager); err != nil {
-			c.ulfmTrace("revoke notice to rank %d refused at post: %v", r, err)
-		} else {
-			flooded = append(flooded, r)
+			kind = obs.EvNoticeRefused
 		}
+		obs.Note(kind, c.w.Rank(), c.group[r], 0, 0)
 	}
-	c.ulfmTrace("revoked (%d receives aborted), notices -> %v", aborted, flooded)
 }
 
 // Fenced reports whether the surviving group agreed this live rank into

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"mpicd/internal/ddt"
 	"mpicd/internal/fabric"
 	"mpicd/internal/layout"
+	"mpicd/internal/obs"
 	"mpicd/internal/ucp"
 )
 
@@ -56,6 +59,21 @@ func killableWorld(n int) (Options, []*fabric.FaultNIC) {
 	return opt, fns
 }
 
+// lifecycleSince renders the lifecycle events (connection, ring and
+// revoke steps) that the given fabric ranks recorded since start, one
+// JSON object per line. Filtering matters on the in-process world: the
+// ring is process-wide and holds events from earlier worlds too.
+func lifecycleSince(start int64, ranks []int) string {
+	var b strings.Builder
+	for _, ev := range obs.Lifecycle.Events() {
+		if ev.Nanos >= start && slices.Contains(ranks, int(ev.Rank)) {
+			j, _ := json.Marshal(ev)
+			b.WriteString("\n  " + string(j))
+		}
+	}
+	return b.String()
+}
+
 // recoveryRank is the per-rank body of the acceptance scenario: loop
 // Allreduce; the victim dies mid-collective at killIter; each survivor
 // observes a failure (ErrProcFailed if it noticed the death itself,
@@ -63,6 +81,7 @@ func killableWorld(n int) (Options, []*fabric.FaultNIC) {
 // failed set, shrinks, and retries the Allreduce on the survivor
 // communicator.
 func recoveryRank(c *Comm, victim, killIter int, kill func()) error {
+	start := time.Now().UnixNano()
 	const count = 4
 	send := make([]byte, 8*count)
 	recv := make([]byte, 8*count)
@@ -113,8 +132,8 @@ func recoveryRank(c *Comm, victim, killIter int, kill func()) error {
 			continue
 		}
 		if !errors.Is(err, ErrProcFailed) && !errors.Is(err, ErrRevoked) {
-			return fmt.Errorf("rank %d: Allreduce failed outside the taxonomy at iter %d: %v\nconn trace:\n  %s",
-				c.Rank(), iter, err, strings.Join(fabric.ConnTrace(), "\n  "))
+			return fmt.Errorf("rank %d: Allreduce failed outside the taxonomy at iter %d: %v\nlifecycle events:%s",
+				c.Rank(), iter, err, lifecycleSince(start, c.FabricRanks()))
 		}
 		failure = err
 		break

@@ -7,10 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mpicd/internal/obs"
 )
 
 // SHM provider control frames, carried over the unix-socket plane and
@@ -228,7 +229,7 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 	// windows are torn down so the next send restarts the handshake over
 	// the fresh socket. Without this, a producer whose consumer forgot
 	// the ring keeps writing into a segment nobody polls.
-	st.onConnDrop = s.connDropped
+	st.onConnDrop = s.retirePair
 	addrs := make([]string, size)
 	for i := range addrs {
 		addrs[i] = ShmSocket(dir, i)
@@ -327,23 +328,7 @@ func (s *SHM) ReviveRank(peer int) {
 	if peer < 0 || peer >= s.size || peer == s.rank {
 		return
 	}
-	// Stall any producer first (a sender parked on the dead consumer's
-	// full ring holds the pair lock until it observes down).
-	s.outMu.Lock()
-	o := s.outs[peer]
-	delete(s.outs, peer)
-	s.outMu.Unlock()
-	if o != nil {
-		o.down.Store(true)
-		o.mu.Lock()
-		if o.ring != nil {
-			o.ring.Close()
-			s.bury(o.mem)
-			o.ring, o.mem = nil, nil
-		}
-		o.ready = false
-		o.mu.Unlock()
-	}
+	s.retirePair(peer)
 	s.inMu.Lock()
 	kept := s.ins[:0]
 	for _, in := range s.ins {
@@ -356,54 +341,41 @@ func (s *SHM) ReviveRank(peer int) {
 	}
 	s.ins = kept
 	s.inMu.Unlock()
-	s.winInMu.Lock()
-	if w := s.winIns[peer]; w != nil {
-		s.bury(w.mem)
-		delete(s.winIns, peer)
-	}
-	s.winInMu.Unlock()
-	s.winOutMu.Lock()
-	if w := s.winOuts[peer]; w != nil {
-		s.bury(w.mem)
-		delete(s.winOuts, peer)
-	}
-	s.winOutMu.Unlock()
 	s.downFlags[peer].Store(false)
 	s.stream.ReviveRank(peer)
 }
 
-// connDropped is the stream core's conn-drop hook: the socket to peer
-// broke, so every piece of shared-memory establishment keyed to it is
-// torn down and rebuilt on next use. This is what keeps elastic revival
-// coherent when the two sides act out of step — a survivor that Revives
-// a respawned rank buries its inbound rings, and without this hook the
-// respawned side (whose handshake completed before the revival) would
-// keep producing into segments nobody polls. Death evidence is NOT
-// touched: downFlags belong to DeclareRankDown/ReviveRank.
+// retirePair tears down the pair's outbound ring and both pull windows so
+// the next send restarts the handshake. A producer parked on the ring
+// holds the pair lock until it observes down, so down is set before the
+// lock is taken; its send fails with ErrLinkDown.
 //
-// Inbound rings are left alone: the producer side observes the same
-// socket break, resets here too, and its fresh kindRingOpen replaces
-// them (acceptRing retires duplicates). Frames stranded in a torn-down
-// outbound ring were bound for an incarnation that is gone; acked worlds
-// retransmit them to its replacement.
-func (s *SHM) connDropped(peer int) {
-	if peer < 0 || peer >= s.size || peer == s.rank {
-		return
-	}
+// It is also the stream core's conn-drop hook: when the socket to peer
+// breaks, every piece of shared-memory establishment keyed to it is
+// rebuilt on next use. This is what keeps elastic revival coherent when
+// the two sides act out of step — a survivor that Revives a respawned
+// rank buries its inbound rings, and without this hook the respawned
+// side (whose handshake completed before the revival) would keep
+// producing into segments nobody polls. Death evidence is NOT touched:
+// downFlags belong to DeclareRankDown/ReviveRank. Inbound rings are left
+// alone: the producer side observes the same socket break, resets here
+// too, and its fresh kindRingOpen replaces them (acceptRing retires
+// duplicates). Frames stranded in a torn-down outbound ring were bound
+// for an incarnation that is gone; acked worlds retransmit them to its
+// replacement.
+func (s *SHM) retirePair(peer int) {
 	s.outMu.Lock()
 	o := s.outs[peer]
 	delete(s.outs, peer)
 	s.outMu.Unlock()
 	if o != nil {
-		// Unblock a producer parked on the ring before taking the pair
-		// lock it holds; its send fails with ErrLinkDown, which is what
-		// the broken socket would have produced anyway.
 		o.down.Store(true)
 		o.mu.Lock()
 		if o.ring != nil {
 			o.ring.Close()
 			s.bury(o.mem)
 			o.ring, o.mem = nil, nil
+			obs.Note(obs.EvRingDown, s.rank, peer, 0, o.gen)
 		}
 		o.ready = false
 		o.mu.Unlock()
@@ -461,6 +433,7 @@ func (s *SHM) switchLocked(to int, o *shmOut) {
 	if !o.ready && o.ring != nil && o.ackd.Load() {
 		if s.stream.Send(to, Header{Kind: kindRingSwitch}) == nil {
 			o.ready = true
+			obs.Note(obs.EvRingSwitch, s.rank, to, 0, o.gen)
 		}
 	}
 }
@@ -491,6 +464,7 @@ func (s *SHM) openRing(to int, o *shmOut) {
 	// The ack handler completes the handshake (sends the switch marker
 	// and flips ready).
 	_ = s.stream.Send(to, Header{Kind: kindRingOpen, Aux0: int64(total), Aux1: o.gen})
+	obs.Note(obs.EvRingOpen, s.rank, to, int64(total), o.gen)
 }
 
 // Send places self-contained frames on the pair's eager ring (blocking
@@ -818,6 +792,7 @@ func (s *SHM) completeRing(peer int, gen int64) {
 	s.outMu.Unlock()
 	if o != nil && o.gen == gen {
 		o.ackd.Store(true)
+		obs.Note(obs.EvRingAck, s.rank, peer, 0, gen)
 	}
 }
 
@@ -966,38 +941,6 @@ func (s *SHM) drainPeer(peer int) {
 			}
 		}
 	}
-}
-
-// DebugState renders a one-shot snapshot of the provider's channel
-// state for post-mortem dumps: inbox depth, per-pair ring status, and
-// the path counters. Pair locks are only tried — a pair whose lock is
-// held (a sender parked on a full ring) reports "busy", which is itself
-// the interesting datum.
-func (s *SHM) DebugState() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "  shm: inbox=%d/%d ringSends=%d spills=%d winPulls=%d conns=%d\n",
-		len(s.inbox), cap(s.inbox), s.ringSends.Load(), s.ringSpills.Load(), s.winPulls.Load(), s.NumConns())
-	s.outMu.Lock()
-	outs := make(map[int]*shmOut, len(s.outs))
-	for to, o := range s.outs {
-		outs[to] = o
-	}
-	s.outMu.Unlock()
-	for to, o := range outs {
-		if o.mu.TryLock() {
-			fmt.Fprintf(&b, "  out->%d: ready=%v ackd=%v\n", to, o.ready, o.ackd.Load())
-			o.mu.Unlock()
-		} else {
-			fmt.Fprintf(&b, "  out->%d: busy (sender holds pair lock; full ring?) ackd=%v\n", to, o.ackd.Load())
-		}
-	}
-	s.inMu.Lock()
-	ins := append([]*shmIn(nil), s.ins...)
-	s.inMu.Unlock()
-	for _, in := range ins {
-		fmt.Fprintf(&b, "  in<-%d: pending=%v empty=%v\n", in.peer, in.pending.Load(), in.ring.Empty())
-	}
-	return b.String()
 }
 
 // Close tears the provider down: stop the socket plane (which unblocks

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"mpicd/internal/obs"
 )
 
 // Reserved header kinds used internally by byte-stream providers for the
@@ -159,6 +161,14 @@ type streamGet struct {
 	done    chan error
 }
 
+// Drop sites, recorded as the Arg of connection-drop lifecycle events so
+// a trace distinguishes which I/O path saw the socket failure.
+const (
+	dropSiteHeader  int64 = 1 // readLoop: frame header read failed
+	dropSitePayload int64 = 2 // readLoop: frame payload read failed
+	dropSiteWrite   int64 = 3 // writeFrame: gather write failed
+)
+
 // defaultDialTimeout applies when Config.DialTimeout is zero.
 const defaultDialTimeout = 30 * time.Second
 
@@ -213,6 +223,8 @@ func newStream(network string, rank, size int, bind string, cfg Config) (*stream
 		reg.GaugeFunc(p("tcp_redials_ok"), s.redialsOK.Load)
 		reg.GaugeFunc(p("tcp_checksum_errs"), s.checksumErrs.Load)
 		reg.GaugeFunc(p("pool_outstanding"), s.pool.Outstanding)
+		reg.GaugeFunc(p("conns"), func() int64 { return int64(s.NumConns()) })
+		reg.GaugeFunc(p("inbox_depth"), func() int64 { return int64(len(s.inbox)) })
 	}
 	go s.acceptLoop()
 	return s, nil
@@ -363,7 +375,7 @@ func (s *stream) DeclareRankDown(rank int) {
 	s.connsMu.Unlock()
 	if old != nil {
 		old.c.Close()
-		connTrace(s.rank, rank, cevDropStale, 0)
+		obs.Note(obs.EvConnDropStale, s.rank, rank, 0, 0)
 	}
 }
 
@@ -387,11 +399,11 @@ func (s *stream) ReviveRank(peer int) {
 	if old != nil {
 		old.c.Close()
 	}
-	connTrace(s.rank, peer, cevRevive, 0)
+	obs.Note(obs.EvRevive, s.rank, peer, 0, 0)
 }
 
-// acceptLoop installs inbound connections (lazy dials, eager mesh and
-// redials) for the provider's lifetime.
+// acceptLoop installs inbound connections (lazy dials and redials) for
+// the provider's lifetime.
 func (s *stream) acceptLoop() {
 	for {
 		c, err := s.ln.Accept()
@@ -415,7 +427,7 @@ func (s *stream) handleHello(c net.Conn) {
 	}
 	peer := int(binary.LittleEndian.Uint32(hello[:4]))
 	if peer == s.rank || peer < 0 || peer >= s.size {
-		connTrace(s.rank, -1, cevHelloReject, int64(peer))
+		obs.Note(obs.EvHelloReject, s.rank, -1, 0, int64(peer))
 		c.Close()
 		return
 	}
@@ -441,7 +453,7 @@ func (s *stream) handleHello(c net.Conn) {
 		s.connsMu.Unlock()
 		_, _ = c.Write(s.verdict(helloYield))
 		c.Close()
-		connTrace(s.rank, peer, cevHelloYield, 0)
+		obs.Note(obs.EvHelloYield, s.rank, peer, 0, 0)
 		return
 	}
 	// Accept (replacing any stale predecessor). The verdict is written
@@ -461,8 +473,8 @@ func (s *stream) handleHello(c net.Conn) {
 }
 
 // dialPeer connects to a peer, retrying with backoff until
-// Config.DialTimeout. Used for lazy establishment, eager mesh and
-// redial. A helloYield verdict makes it wait for the peer's inbound
+// Config.DialTimeout. Used for lazy establishment and redial. A
+// helloYield verdict makes it wait for the peer's inbound
 // connection instead.
 func (s *stream) dialPeer(peer int) error {
 	readAddr := func() string {
@@ -531,7 +543,7 @@ func (s *stream) dialPeer(peer int) error {
 					return ErrClosed
 				}
 				go s.readLoop(conn)
-				connTrace(s.rank, peer, cevDialOK, 0)
+				obs.Note(obs.EvDialOK, s.rank, peer, 0, 0)
 				return nil
 			case verdict == helloYield:
 				// The peer's own dial is on its way; wait for the install.
@@ -547,7 +559,7 @@ func (s *stream) dialPeer(peer int) error {
 		}
 		lastErr = err
 		if time.Now().After(deadline) {
-			connTrace(s.rank, peer, cevDialFail, 0)
+			obs.Note(obs.EvDialFail, s.rank, peer, 0, 0)
 			return fmt.Errorf("fabric: rank %d: peer rank %d unreachable at %q after %v: %w (%v)",
 				s.rank, peer, addr, s.cfg.DialTimeout, ErrLinkDown, lastErr)
 		}
@@ -612,7 +624,7 @@ func (s *stream) observeEpoch(peer int, epoch uint32) {
 	ever := s.everConn[peer]
 	s.connsMu.RUnlock()
 	if ever {
-		connTrace(s.rank, peer, cevEpochDeath, int64(epoch))
+		obs.Note(obs.EvEpochDeath, s.rank, peer, 0, int64(epoch))
 		s.notifyPeerDown(peer, true)
 	}
 }
@@ -659,7 +671,7 @@ func (s *stream) installConnLocked(peer int, c net.Conn) *streamConn {
 		replaced = 1
 		old.c.Close()
 	}
-	connTrace(s.rank, peer, cevInstall, replaced)
+	obs.Note(obs.EvConnInstall, s.rank, peer, 0, replaced)
 	return conn
 }
 
@@ -690,7 +702,7 @@ func (s *stream) dropConn(conn *streamConn, site int64) {
 		// installed the new conn before the old one's EOF surfaced), and
 		// the provider above must re-key its establishment either way.
 		s.connsMu.Unlock()
-		connTrace(s.rank, conn.peer, cevDropStale, site)
+		obs.Note(obs.EvConnDropStale, s.rank, conn.peer, 0, site)
 		if site != dropSiteWrite {
 			conn.c.Close()
 		}
@@ -698,7 +710,7 @@ func (s *stream) dropConn(conn *streamConn, site int64) {
 		return
 	}
 	s.conns[conn.peer] = nil
-	connTrace(s.rank, conn.peer, cevDrop, site)
+	obs.Note(obs.EvConnDrop, s.rank, conn.peer, 0, site)
 	s.connDrops.Add(1)
 	redial := s.rank > conn.peer && !s.dialing[conn.peer]
 	if redial {

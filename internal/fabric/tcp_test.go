@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mpicd/internal/obs"
 )
 
 func TestTCPSendRecv(t *testing.T) {
@@ -262,9 +264,13 @@ func TestTCPRedialAfterDisconnect(t *testing.T) {
 	nics[1].connsMu.RLock()
 	conn := nics[1].conns[0]
 	nics[1].connsMu.RUnlock()
+	severed := time.Now().UnixNano()
 	conn.c.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
+		// Read the lifecycle ring while the redial records into it: under
+		// -race this pins that snapshots and recording do not race.
+		_ = obs.Lifecycle.Events()
 		err := nics[1].Send(0, Header{Tag: 2}, []byte{2})
 		if err == nil {
 			break
@@ -286,6 +292,19 @@ func TestTCPRedialAfterDisconnect(t *testing.T) {
 	}
 	if pkt, ok := nics[1].Recv(); !ok || pkt.Payload[0] != 3 {
 		t.Fatal("reverse delivery after redial failed")
+	}
+	// The lifecycle ring tells the story from rank 1's side: the drop,
+	// the redial landing, and the replacement connection's install.
+	seen := map[obs.EventKind]bool{}
+	for _, ev := range obs.Lifecycle.Events() {
+		if ev.Nanos >= severed && ev.Rank == 1 && ev.Peer == 0 {
+			seen[ev.Kind] = true
+		}
+	}
+	for _, k := range []obs.EventKind{obs.EvConnDrop, obs.EvDialOK, obs.EvConnInstall} {
+		if !seen[k] {
+			t.Errorf("lifecycle ring lacks a %s event from rank 1 for peer 0 (saw %v)", k, seen)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"mpicd/internal/core"
 	"mpicd/internal/ddt"
 	"mpicd/internal/layout"
+	"mpicd/internal/obs"
 	"mpicd/internal/ucp"
 )
 
@@ -116,18 +117,10 @@ func missingRanks(size int, c *core.Comm) []int {
 // lost a member and must re-shrink before retrying.
 func elasticRecover(w *World, comm *core.Comm) (*core.Comm, error) {
 	in := w.Info
-	trace := func(format string, args ...any) {
-		if os.Getenv(EnvDebug) != "" {
-			fmt.Fprintf(os.Stderr, "%s rank %d recover: %s\n",
-				time.Now().Format("15:04:05.000"), in.Rank, fmt.Sprintf(format, args...))
-		}
-	}
-	_ = comm.Revoke()
-	sc, err := comm.Shrink()
+	sc, err := revokeShrink(in.Rank, comm)
 	if err != nil {
 		return nil, fmt.Errorf("shrink: %w", err)
 	}
-	trace("shrunk to size %d (members %v)", sc.Size(), sc.FabricRanks())
 	latest := make(map[int]core.JoinPeer)
 	deadline := time.Now().Add(elasticRecoverWindow)
 	for {
@@ -135,16 +128,11 @@ func elasticRecover(w *World, comm *core.Comm) (*core.Comm, error) {
 			return nil, fmt.Errorf("recovery window (%v) exhausted at size %d of %d",
 				elasticRecoverWindow, sc.Size(), in.Size)
 		}
-		if f := sc.Failed(); len(f) > 0 {
+		if len(sc.Failed()) > 0 {
 			// Another member died since the last agreement; fold it in.
-			trace("members %v failed since last agreement; re-shrinking", f)
-			_ = sc.Revoke()
-			ns, err := sc.Shrink()
-			if err != nil {
+			if sc, err = revokeShrink(in.Rank, sc); err != nil {
 				return nil, fmt.Errorf("re-shrink: %w", err)
 			}
-			sc = ns
-			trace("re-shrunk to size %d (members %v)", sc.Size(), sc.FabricRanks())
 			continue
 		}
 		missing := missingRanks(in.Size, sc)
@@ -153,14 +141,10 @@ func elasticRecover(w *World, comm *core.Comm) (*core.Comm, error) {
 		}
 		peers, _, err := w.PollRejoins(0)
 		if err != nil {
-			trace("poll rejoins: %v", err)
 			time.Sleep(50 * time.Millisecond)
 			continue
 		}
 		for _, p := range peers {
-			if old, seen := latest[p.Rank]; !seen || old != p {
-				trace("join record: rank %d at %s", p.Rank, p.Addr)
-			}
 			latest[p.Rank] = p // records arrive epoch-ascending: newest wins
 		}
 		args := make([]core.JoinPeer, 0, len(missing))
@@ -175,9 +159,8 @@ func elasticRecover(w *World, comm *core.Comm) (*core.Comm, error) {
 			time.Sleep(50 * time.Millisecond)
 			continue
 		}
-		trace("growing with joiners %v", missing)
 		nc, gerr := sc.GrowWithin(args, elasticGrowWindow)
-		trace("grow result: size=%d err=%v", growSize(nc), gerr)
+		obs.Note(obs.EvGrow, in.Rank, -1, int64(growSize(nc)), flag(gerr != nil))
 		if nc != nil {
 			// Even with a failed opening barrier the grown communicator
 			// is the new world; the next collective re-detects the death.
@@ -192,14 +175,31 @@ func elasticRecover(w *World, comm *core.Comm) (*core.Comm, error) {
 			return nil, fmt.Errorf("post-abort agreement: %w (grow: %v)", aerr, gerr)
 		}
 		if mask != 0 {
-			_ = sc.Revoke()
-			ns, serr := sc.Shrink()
-			if serr != nil {
-				return nil, fmt.Errorf("re-shrink: %w", serr)
+			if sc, err = revokeShrink(in.Rank, sc); err != nil {
+				return nil, fmt.Errorf("re-shrink: %w", err)
 			}
-			sc = ns
 		}
 	}
+}
+
+// revokeShrink folds a failure into c (Revoke + Shrink) and records the
+// shrink in the lifecycle ring.
+func revokeShrink(rank int, c *core.Comm) (*core.Comm, error) {
+	_ = c.Revoke()
+	sc, err := c.Shrink()
+	if err != nil {
+		return nil, err
+	}
+	obs.Note(obs.EvShrink, rank, -1, int64(sc.Size()), int64(c.Size()-sc.Size()))
+	return sc, nil
+}
+
+// flag encodes a condition as a lifecycle event Arg.
+func flag(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func growSize(c *core.Comm) int {
@@ -211,12 +211,6 @@ func growSize(c *core.Comm) int {
 
 func taskElastic(w *World) error {
 	in := w.Info
-	trace := func(format string, args ...any) {
-		if os.Getenv(EnvDebug) != "" {
-			fmt.Fprintf(os.Stderr, "%s rank %d task: %s\n",
-				time.Now().Format("15:04:05.000"), in.Rank, fmt.Sprintf(format, args...))
-		}
-	}
 	iters, err := envInt(EnvElasticIters, 30)
 	if err != nil {
 		return err
@@ -254,9 +248,9 @@ func taskElastic(w *World) error {
 	if w.Rejoined() {
 		deadline := time.Now().Add(elasticRejoinBudget)
 		for {
-			trace("join window opens")
+			obs.Note(obs.EvJoinOpen, in.Rank, -1, 0, 0)
 			comm, err = w.Join(elasticJoinWindow)
-			trace("join window closed: comm=%v err=%v", comm != nil, err)
+			obs.Note(obs.EvJoinClosed, in.Rank, -1, 0, flag(comm == nil))
 			if comm != nil {
 				break
 			}

@@ -24,6 +24,7 @@ import (
 
 	"mpicd/internal/core"
 	"mpicd/internal/fabric"
+	"mpicd/internal/obs"
 	"mpicd/internal/ucp"
 )
 
@@ -190,6 +191,7 @@ type World struct {
 
 	worker *ucp.Worker
 	nic    fabric.NIC
+	reg    *obs.Registry // fabric and worker gauges, read by the debug dump
 }
 
 // Rejoined reports whether this process is a supervised respawn that
@@ -255,10 +257,17 @@ func (w *World) Close() error {
 // Connect binds this worker's transport endpoint, runs the rendezvous
 // exchange, and returns the world communicator. opt carries the usual
 // fabric/ucp configuration; observability registries propagate the same
-// way mpi.ConnectTCP propagates them.
+// way mpi.ConnectTCP propagates them. A world always has a registry: when
+// the caller passed none, a private one holds the fabric's and the
+// worker's gauges for the debug dump. Gauges read counters the stack
+// maintains anyway, so this adds nothing to the eager path; histograms
+// and the message trace still need UCP.Obs.
 func (in *Info) Connect(opt core.Options) (*World, error) {
 	if o := opt.UCP.Obs; o != nil && opt.Fabric.Obs == nil {
 		opt.Fabric.Obs = o.Registry
+	}
+	if opt.Fabric.Obs == nil {
+		opt.Fabric.Obs = obs.NewRegistry()
 	}
 	if opt.UCP.RanksPerNode == 0 {
 		opt.UCP.RanksPerNode = in.RanksPerNode
@@ -366,7 +375,10 @@ func (in *Info) Connect(opt core.Options) (*World, error) {
 	}
 
 	w := ucp.NewWorker(nic, opt.UCP)
-	world := &World{Info: in, Addrs: addrs, Nodes: nodes, worker: w, nic: nic}
+	if o := opt.UCP.Obs; o == nil || o.Registry != opt.Fabric.Obs {
+		w.RegisterGauges(opt.Fabric.Obs)
+	}
+	world := &World{Info: in, Addrs: addrs, Nodes: nodes, worker: w, nic: nic, reg: opt.Fabric.Obs}
 	if in.Epoch == 0 {
 		// A replacement has no world communicator — the one its dead
 		// predecessor belonged to is gone; Join builds its successor.

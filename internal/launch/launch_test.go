@@ -2,6 +2,7 @@ package launch
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"mpicd/internal/core"
+	"mpicd/internal/obs"
 )
 
 // The e2e tests launch REAL worker processes by re-executing this test
@@ -122,6 +124,75 @@ func TestLaunchCrashPropagates(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("survivors were not killed promptly: job took %v", elapsed)
 	}
+}
+
+// TestLaunchDebugDump: with MPICD_DEBUG=1, every survivor of the crash
+// task dumps on the launcher's SIGTERM, and each dump is one header line
+// followed by an obs.Observer JSON document holding the worker's
+// counters, the stream core's connection gauge and the connection
+// lifecycle events.
+func TestLaunchDebugDump(t *testing.T) {
+	for _, tr := range []string{TransportSHM, TransportTCP} {
+		t.Run(tr, func(t *testing.T) {
+			err, out, _ := runSupervised(t, 4, tr, "crash", nil, nil, time.Minute, EnvDebug+"=1")
+			if err == nil {
+				t.Fatalf("crash job reported success:\n%s", out)
+			}
+			for _, k := range []int{0, 1, 3} { // rank 2 exits without a dump
+				doc := parseDump(t, out, k)
+				if _, ok := doc.Metrics.Gauges[fmt.Sprintf("ucp.r%d.eager_sends", k)]; !ok {
+					t.Errorf("rank %d dump has no ucp.r%d.eager_sends gauge", k, k)
+				}
+				if n := doc.Metrics.Gauges[fmt.Sprintf("fabric.r%d.conns", k)]; n < 1 {
+					t.Errorf("rank %d dump: fabric.r%d.conns = %d, want >= 1", k, k, n)
+				}
+				installs := 0
+				for _, ev := range doc.Trace {
+					if ev.Kind == obs.EvConnInstall {
+						installs++
+					}
+				}
+				if installs == 0 {
+					t.Errorf("rank %d dump holds no connection-install event: %+v", k, doc.Trace)
+				}
+			}
+			if t.Failed() {
+				t.Logf("job output:\n%s", out)
+			}
+		})
+	}
+}
+
+// parseDump extracts rank k's debug dump from the launcher's prefixed
+// output: the lines after its "rank k debug" header decode as one JSON
+// document.
+func parseDump(t *testing.T, out string, k int) (doc struct {
+	Metrics obs.Snapshot `json:"metrics"`
+	Trace   []obs.Event  `json:"trace"`
+}) {
+	t.Helper()
+	prefix := fmt.Sprintf("[%d] ", k)
+	var body []string
+	for _, line := range strings.Split(out, "\n") {
+		rest, ok := strings.CutPrefix(line, prefix)
+		if !ok {
+			continue
+		}
+		if body == nil {
+			if strings.HasPrefix(rest, fmt.Sprintf("rank %d debug (", k)) {
+				body = []string{}
+			}
+			continue
+		}
+		body = append(body, rest)
+	}
+	if body == nil {
+		t.Fatalf("rank %d printed no debug dump header:\n%s", k, out)
+	}
+	if err := json.NewDecoder(strings.NewReader(strings.Join(body, "\n"))).Decode(&doc); err != nil {
+		t.Fatalf("rank %d dump is not JSON: %v\n%s", k, err, out)
+	}
+	return doc
 }
 
 // TestLaunchWorldFacts: workers see the address table and placement the

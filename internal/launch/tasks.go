@@ -7,7 +7,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 	"time"
 
@@ -15,6 +14,7 @@ import (
 	"mpicd/internal/ddt"
 	"mpicd/internal/fabric"
 	"mpicd/internal/layout"
+	"mpicd/internal/obs"
 )
 
 // Built-in worker tasks. cmd/mpicd-run re-executes itself with
@@ -27,11 +27,11 @@ const EnvTask = "MPICD_WORKER_TASK"
 // result to.
 const EnvBenchOut = "MPICD_BENCH_OUT"
 
-// EnvDebug turns on failure forensics in built-in tasks: a state dump
-// on task error, and a SIGTERM handler that dumps before dying (the
-// launcher kills survivors with SIGTERM first, so when one rank times
-// out, every OTHER rank reports what it was stuck on). "2" adds full
-// goroutine stacks.
+// EnvDebug turns on failure forensics in built-in tasks: a dump (see
+// World.debugDump) on task error, and a SIGTERM handler that dumps
+// before dying (the launcher kills survivors with SIGTERM first, so when
+// one rank times out, every OTHER rank reports what it was stuck on).
+// "2" adds full goroutine stacks.
 const EnvDebug = "MPICD_DEBUG"
 
 // RunTask connects a world from in and runs the named built-in task.
@@ -58,13 +58,13 @@ func RunTask(name string, in *Info, opt core.Options) error {
 		signal.Notify(ch, syscall.SIGTERM)
 		go func() {
 			<-ch
-			debugDump(w, "killed")
+			w.debugDump("killed")
 			os.Exit(1)
 		}()
 	}
 	err = runTask(name, w)
 	if err != nil && os.Getenv(EnvDebug) != "" {
-		debugDump(w, err.Error())
+		w.debugDump(err.Error())
 	}
 	return err
 }
@@ -94,26 +94,16 @@ func runTask(name string, w *World) error {
 	}
 }
 
-// debugDump writes the rank's transport forensics to stderr: protocol
-// counters and the provider's channel and connection state.
+// debugDump writes the rank's forensics to stderr: one header line, then
+// the world's metrics registry and the process lifecycle ring as one
+// obs.Observer JSON document. Level "2" appends goroutine stacks.
 func (w *World) debugDump(reason string) {
-	var b strings.Builder
-	st := w.worker.Stats()
-	fmt.Fprintf(&b, "rank %d debug (%s):\n", w.Info.Rank, reason)
-	fmt.Fprintf(&b, "  ucp: eager=%d timeouts=%d\n", st.EagerSends.Load(), st.Timeouts.Load())
-	if d, ok := w.nic.(interface{ DebugState() string }); ok {
-		b.WriteString(d.DebugState())
-	}
-	for _, ev := range fabric.ConnTrace() {
-		fmt.Fprintf(&b, "  conn: %s\n", ev)
-	}
-	os.Stderr.WriteString(b.String())
+	fmt.Fprintf(os.Stderr, "rank %d debug (%s):\n", w.Info.Rank, reason)
+	_ = (&obs.Observer{Registry: w.reg, Trace: obs.Lifecycle}).WriteJSON(os.Stderr)
 	if os.Getenv(EnvDebug) == "2" {
 		_ = pprof.Lookup("goroutine").WriteTo(os.Stderr, 2)
 	}
 }
-
-func debugDump(w *World, reason string) { w.debugDump(reason) }
 
 func fill(n int, seed byte) []byte {
 	b := make([]byte, n)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterAndRegistry(t *testing.T) {
@@ -116,6 +117,52 @@ func TestObserverJSONRoundTrip(t *testing.T) {
 	}
 	if len(doc.Trace) != 1 || doc.Trace[0].Kind != EvPost {
 		t.Fatalf("trace lost in round trip: %+v", doc.Trace)
+	}
+}
+
+// TestEventKindJSONRoundTrip: every named kind survives encode/decode
+// under a distinct name, and an unknown name decodes as 0.
+func TestEventKindJSONRoundTrip(t *testing.T) {
+	seen := map[string]EventKind{}
+	n := 0
+	for k := EventKind(1); k != 0; k++ {
+		if k.String() == "unknown" {
+			continue
+		}
+		n++
+		if prev, dup := seen[k.String()]; dup {
+			t.Fatalf("kinds %d and %d share the name %q", prev, k, k.String())
+		}
+		seen[k.String()] = k
+		b, err := json.Marshal(Event{Kind: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ev Event
+		if err := json.Unmarshal(b, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Kind != k {
+			t.Fatalf("kind %d (%s) decoded as %d from %s", k, k, ev.Kind, b)
+		}
+	}
+	if n != int(EvJoinClosed) {
+		t.Fatalf("%d named kinds, want %d (one per constant)", n, EvJoinClosed)
+	}
+	var k EventKind = EvPost
+	if err := json.Unmarshal([]byte(`"no-such-kind"`), &k); err != nil || k != 0 {
+		t.Fatalf("unknown name decoded as %d (err %v), want 0", k, err)
+	}
+}
+
+// TestLifecycleNote: Note stamps and records into the process-wide ring.
+func TestLifecycleNote(t *testing.T) {
+	before := time.Now().UnixNano()
+	Note(EvDialOK, 3, 5, 0, 7)
+	evs := Lifecycle.Events()
+	ev := evs[len(evs)-1]
+	if ev.Kind != EvDialOK || ev.Rank != 3 || ev.Peer != 5 || ev.Arg != 7 || ev.Nanos < before {
+		t.Fatalf("last lifecycle event = %+v", ev)
 	}
 }
 

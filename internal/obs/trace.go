@@ -3,6 +3,7 @@ package obs
 import (
 	"io"
 	"sync"
+	"time"
 )
 
 // EventKind identifies one step of a message lifecycle.
@@ -23,24 +24,72 @@ const (
 	EvRexmit
 	EvComplete
 	EvTimeout
+
+	// Connection lifecycle of the byte-stream providers (TCP and the SHM
+	// control plane), recorded into Lifecycle. Peer is the remote rank.
+	EvConnInstall   // connection published; Arg = 1 when it replaced a live one
+	EvConnDrop      // current connection torn down; Arg = drop site
+	EvConnDropStale // already-replaced connection torn down; Arg = drop site
+	EvHelloReject   // inbound hello named an invalid rank; Arg = claimed rank
+	EvDialOK        // outbound dial established the connection
+	EvDialFail      // dial campaign gave up (deadline)
+	EvHelloYield    // simultaneous dial: the lower rank was told to wait
+	EvRevive        // all connection state toward Peer forgotten
+	EvEpochDeath    // handshake announced a newer incarnation; Arg = epoch
+
+	// SHM eager-ring handshake toward Peer; Arg = handshake generation.
+	EvRingOpen   // ring created and announced; Size = segment bytes
+	EvRingAck    // receiver acknowledged the ring
+	EvRingSwitch // switch marker sent; eager frames now cross the ring
+	EvRingDown   // ring torn down (socket drop or revival)
+
+	// Recovery steps (ULFM revoke, elastic shrink/grow/join).
+	EvRevoke        // communicator revoked; Arg = receives aborted
+	EvNoticeSent    // revoke notice posted toward Peer
+	EvNoticeRefused // revoke notice toward Peer refused at post
+	EvNoticeRecv    // notice received; Arg = notice byte
+	EvShrink        // shrunk; Size = new size, Arg = ranks folded out
+	EvGrow          // grow attempt; Size = new size, Arg = 1 when it failed
+	EvJoinOpen      // respawned rank opened its join window
+	EvJoinClosed    // join window closed; Arg = 1 when no comm was formed
 )
 
+// kindNames is the one name table: String, MarshalJSON and UnmarshalJSON
+// all read it, so a new kind needs only a constant and an entry here.
+var kindNames = [...]string{
+	EvPost:          "post",
+	EvSend:          "send",
+	EvMatch:         "match",
+	EvStripes:       "stripes",
+	EvRexmit:        "rexmit",
+	EvComplete:      "complete",
+	EvTimeout:       "timeout",
+	EvConnInstall:   "conn-install",
+	EvConnDrop:      "conn-drop",
+	EvConnDropStale: "conn-drop-stale",
+	EvHelloReject:   "hello-reject",
+	EvDialOK:        "dial-ok",
+	EvDialFail:      "dial-fail",
+	EvHelloYield:    "hello-yield",
+	EvRevive:        "revive",
+	EvEpochDeath:    "epoch-death",
+	EvRingOpen:      "ring-open",
+	EvRingAck:       "ring-ack",
+	EvRingSwitch:    "ring-switch",
+	EvRingDown:      "ring-down",
+	EvRevoke:        "revoke",
+	EvNoticeSent:    "notice-sent",
+	EvNoticeRefused: "notice-refused",
+	EvNoticeRecv:    "notice-recv",
+	EvShrink:        "shrink",
+	EvGrow:          "grow",
+	EvJoinOpen:      "join-open",
+	EvJoinClosed:    "join-closed",
+}
+
 func (k EventKind) String() string {
-	switch k {
-	case EvPost:
-		return "post"
-	case EvSend:
-		return "send"
-	case EvMatch:
-		return "match"
-	case EvStripes:
-		return "stripes"
-	case EvRexmit:
-		return "rexmit"
-	case EvComplete:
-		return "complete"
-	case EvTimeout:
-		return "timeout"
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return "unknown"
 }
@@ -51,15 +100,16 @@ func (k EventKind) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + k.String() + `"`), nil
 }
 
-// UnmarshalJSON accepts the name form produced by MarshalJSON.
+// UnmarshalJSON accepts the name form produced by MarshalJSON; an
+// unknown name decodes as 0.
 func (k *EventKind) UnmarshalJSON(b []byte) error {
-	for c := EvPost; c <= EvTimeout; c++ {
-		if string(b) == `"`+c.String()+`"` {
-			*k = c
-			return nil
+	*k = 0
+	for c, name := range kindNames {
+		if name != "" && string(b) == `"`+name+`"` {
+			*k = EventKind(c)
+			break
 		}
 	}
-	*k = 0
 	return nil
 }
 
@@ -160,4 +210,16 @@ func (r *Ring) Events() []Event {
 // WriteJSON dumps the held events oldest-first as indented JSON.
 func (r *Ring) WriteJSON(w io.Writer) error {
 	return writeSortedJSON(w, r.Events())
+}
+
+// Lifecycle is the process-wide, always-on ring of rare lifecycle events:
+// connection install/drop/redial, SHM ring handshakes and recovery steps.
+// These happen a handful of times per link or per failure, so recording
+// them unconditionally costs nothing that matters; the debug dump and
+// failing tests read the ring back beside the metrics registry.
+var Lifecycle = NewRing(256)
+
+// Note records one lifecycle event, stamped now, into Lifecycle.
+func Note(kind EventKind, rank, peer int, size, arg int64) {
+	Lifecycle.Record(Event{Nanos: time.Now().UnixNano(), Kind: kind, Rank: int32(rank), Peer: int32(peer), Size: size, Arg: arg})
 }

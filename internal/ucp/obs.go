@@ -37,7 +37,7 @@ type workerObs struct {
 }
 
 // setupObs resolves the worker's metric handles and registers the
-// WorkerStats counters and live queue depths under ucp.r<rank>.*.
+// worker's gauges under ucp.r<rank>.*.
 func (w *Worker) setupObs(o *obs.Observer) {
 	if o == nil || o.Registry == nil {
 		return
@@ -54,9 +54,16 @@ func (w *Worker) setupObs(o *obs.Observer) {
 		getNS:      reg.Histogram(p("get_rtt_ns")),
 		sizeBytes:  reg.Histogram(p("msg_size_bytes")),
 	}
-	// The cumulative protocol counters live in WorkerStats (they are
-	// always counted — atomics are cheap); the registry exposes them as
-	// gauges so one snapshot unifies both worlds.
+	w.RegisterGauges(reg)
+}
+
+// RegisterGauges exposes the WorkerStats counters and the live queue
+// depths as gauges under ucp.r<rank>.*. The counters are always
+// maintained (atomics are cheap), so this needs no hot-path
+// instrumentation: a worker without Config.Obs can still be read through
+// a registry, which is how launched worlds feed their debug dump.
+func (w *Worker) RegisterGauges(reg *obs.Registry) {
+	p := func(name string) string { return fmt.Sprintf("ucp.r%d.%s", w.nic.Rank(), name) }
 	counters := []struct {
 		name string
 		fn   obs.Gauge
